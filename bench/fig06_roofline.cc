@@ -26,8 +26,8 @@
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
+#include "kernels/kernel_registry.h"
 #include "tensor/aligned_buffer.h"
-#include "tensor/simd_kernels.h"
 
 namespace {
 
@@ -58,10 +58,11 @@ streamPass(lazydp::ExecContext &exec, int n_ops)
     auto &dst = dstBuffer();
     constexpr std::size_t kBlocks = 64;
     std::vector<std::size_t> flops_per(kBlocks, 0);
+    const lazydp::KernelTable &kt = lazydp::kernels();
     lazydp::parallelForShards(
         exec, kElems, kElems / kBlocks,
         [&](std::size_t s, std::size_t lo, std::size_t hi) {
-            flops_per[s] = lazydp::simd::streamWithOps(
+            flops_per[s] = kt.streamWithOps(
                 dst.data() + lo, src.data() + lo, hi - lo, n_ops);
         });
     std::size_t flops = 0;
@@ -157,8 +158,9 @@ main(int argc, char **argv)
     std::printf("# per loaded vector. N=2 ~ noisy gradient update\n");
     std::printf("# (memory bound); N=101 ~ Box-Muller noise sampling\n");
     std::printf("# (compute bound, 81%% of peak in the paper).\n");
-    std::printf("# AVX2 path active: %s; pool threads: %zu\n",
-                lazydp::simd::avx2Enabled() ? "yes" : "no", threads);
+    std::printf("# kernel backend: %s; pool threads: %zu\n",
+                lazydp::kernelBackendName(lazydp::activeKernelBackend()),
+                threads);
     std::printf("################################################\n");
 
     if (!sweep.empty()) {

@@ -7,7 +7,6 @@
 #include "common/macros.h"
 #include "kernels/kernel_registry.h"
 #include "rng/xoshiro.h"
-#include "tensor/simd_kernels.h"
 
 namespace lazydp {
 
@@ -194,6 +193,7 @@ LazyDpAlgorithm::applyTableUpdate(std::uint64_t iter, std::size_t t,
     constexpr std::size_t kRowGrain = 64;
     EmbeddingTable &tbl = model_.tables()[t];
     const std::size_t dim = tbl.dim();
+    const KernelTable &kt = kernels();
 
     // Coalesce this iteration's clipped sparse gradient from the
     // lot-wide pooled gradients gathered out of the shard workspaces.
@@ -256,8 +256,8 @@ LazyDpAlgorithm::applyTableUpdate(std::uint64_t iter, std::size_t t,
                     std::memcpy(dst, grad.values.data() + gi * dim,
                                 dim * sizeof(float));
                     if (ni != kNoSource) {
-                        simd::add(dst, dst,
-                                  pt.noiseVals.data() + ni * dim, dim);
+                        kt.add(dst, dst,
+                               pt.noiseVals.data() + ni * dim, dim);
                     }
                 } else {
                     std::memcpy(dst, pt.noiseVals.data() + ni * dim,
@@ -281,7 +281,6 @@ LazyDpAlgorithm::applyTableUpdate(std::uint64_t iter, std::size_t t,
     if (tbl.tiered())
         tbl.ensureResident(mergedRows_);
     if (decayed_ == nullptr) {
-        const KernelTable &kt = kernels();
         if (tbl.tiered()) {
             // Per-row axpy through the page table: both scatter
             // backends are exactly this per-row loop, so the update is
@@ -332,14 +331,14 @@ LazyDpAlgorithm::applyTableUpdate(std::uint64_t iter, std::size_t t,
                     if (in_grad && !in_next)
                         decay_steps = pt.curDecaySteps[mergedGradIdx_[m]];
                     if (decay_steps > 0) {
-                        simd::scale(
+                        kt.scale(
                             tbl.rowPtr(row), dim,
                             std::pow(alpha, static_cast<float>(
                                                 decay_steps)));
                     }
-                    simd::axpy(tbl.rowPtr(row),
-                               mergedVals_.data() + m * dim, dim,
-                               -step_scale);
+                    kt.axpy(tbl.rowPtr(row),
+                            mergedVals_.data() + m * dim, dim,
+                            -step_scale);
                 }
             });
     }
@@ -394,6 +393,7 @@ LazyDpAlgorithm::finalize(std::uint64_t last_iter, ExecContext &exec,
     const float step_scale =
         hyper_.lr /
         normDenominator(lastBatchSize_ == 0 ? 1 : lastBatchSize_);
+    const KernelTable &kt = kernels();
     for (std::size_t t = 0; t < model_.config().numTables; ++t) {
         EmbeddingTable &tbl = model_.tables()[t];
         const std::size_t dim = tbl.dim();
@@ -407,7 +407,7 @@ LazyDpAlgorithm::finalize(std::uint64_t last_iter, ExecContext &exec,
                         const std::uint32_t last_decay =
                             decayed_->lastNoised(t, r);
                         if (last_decay < last_iter) {
-                            simd::scale(
+                            kt.scale(
                                 tbl.rowPtr(r), dim,
                                 std::pow(decayAlpha(),
                                          static_cast<float>(
@@ -484,7 +484,6 @@ makePrivate(DlrmModel &model, const LazyDpOptions &options)
     hyper.noiseMultiplier = options.noiseMultiplier;
     hyper.noiseSeed = options.noiseSeed;
     hyper.lotSize = options.lotSize;
-    hyper.kernel = options.kernel;
     return std::make_unique<LazyDpAlgorithm>(model, hyper,
                                              options.useAns);
 }

@@ -254,7 +254,6 @@ struct LazyDpOptions
 
     /** Fixed lot size for Poisson subsampling (0 = realized batch). */
     std::size_t lotSize = 0;
-    GaussianKernel kernel = GaussianKernel::Auto;
 };
 
 /**

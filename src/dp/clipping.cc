@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "common/macros.h"
-#include "tensor/simd_kernels.h"
+#include "kernels/kernel_registry.h"
 
 namespace lazydp {
 
@@ -25,8 +25,9 @@ void
 scaleRows(Tensor &t, const std::vector<float> &scales)
 {
     LAZYDP_ASSERT(t.rows() == scales.size(), "scale count != rows");
+    const KernelTable &kt = kernels();
     for (std::size_t r = 0; r < t.rows(); ++r)
-        simd::scale(t.data() + r * t.cols(), t.cols(), scales[r]);
+        kt.scale(t.data() + r * t.cols(), t.cols(), scales[r]);
 }
 
 void
@@ -38,6 +39,7 @@ reduceScaledRows(const Tensor &rows, const std::vector<float> &scales,
     LAZYDP_ASSERT(scales.size() == batch, "scale count != rows");
     LAZYDP_ASSERT(out.size() == params, "output size != param count");
     out.zero();
+    const KernelTable &kt = kernels();
     // Fixed 16K-parameter shards: each output element's sum runs over e
     // in order inside one shard, so the reduction is deterministic at
     // any thread count.
@@ -47,8 +49,8 @@ reduceScaledRows(const Tensor &rows, const std::vector<float> &scales,
             const std::size_t len = hi - lo;
             float *dst = out.data() + lo;
             for (std::size_t e = 0; e < batch; ++e) {
-                simd::axpy(dst, rows.data() + e * params + lo, len,
-                           scales[e]);
+                kt.axpy(dst, rows.data() + e * params + lo, len,
+                        scales[e]);
             }
         });
 }

@@ -1,12 +1,11 @@
 #include "dp/dp_engine_base.h"
 
 #include "common/macros.h"
-#include "tensor/simd_kernels.h"
 
 namespace lazydp {
 
 DpEngineBase::DpEngineBase(DlrmModel &model, const TrainHyper &hyper)
-    : model_(model), hyper_(hyper), noise_(hyper.noiseSeed, hyper.kernel)
+    : model_(model), hyper_(hyper), noise_(hyper.noiseSeed)
 {
     sparseGrads_.resize(model.config().numTables);
     LAZYDP_ASSERT(model.config().numTables +

@@ -1,6 +1,6 @@
 #include "dp/dp_sgd_b.h"
 
-#include "tensor/simd_kernels.h"
+#include "kernels/kernel_registry.h"
 
 namespace lazydp {
 
@@ -20,20 +20,21 @@ DpSgdB::produceShardGrads(std::uint64_t iter, GradShard &s,
     model_.backwardPerExample(s.dLogits, s.topPe, s.bottomPe, s.ws, exec);
 
     s.normSq.assign(n, 0.0);
+    const KernelTable &kt = kernels();
     auto add_norms = [&](const PerExampleGrads &grads) {
         for (const auto &w : grads.w) {
             parallelFor(exec, n, [&](std::size_t lo, std::size_t hi) {
                 for (std::size_t e = lo; e < hi; ++e) {
-                    s.normSq[e] += simd::squaredNorm(
-                        w.data() + e * w.cols(), w.cols());
+                    s.normSq[e] +=
+                        kt.squaredNorm(w.data() + e * w.cols(), w.cols());
                 }
             });
         }
         for (const auto &b : grads.b) {
             parallelFor(exec, n, [&](std::size_t lo, std::size_t hi) {
                 for (std::size_t e = lo; e < hi; ++e) {
-                    s.normSq[e] += simd::squaredNorm(
-                        b.data() + e * b.cols(), b.cols());
+                    s.normSq[e] +=
+                        kt.squaredNorm(b.data() + e * b.cols(), b.cols());
                 }
             });
         }

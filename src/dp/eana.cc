@@ -1,8 +1,8 @@
 #include "dp/eana.h"
 
 #include "common/macros.h"
+#include "kernels/kernel_registry.h"
 #include "nn/embedding.h"
-#include "tensor/simd_kernels.h"
 
 namespace lazydp {
 
@@ -84,6 +84,7 @@ EanaAlgorithm::apply(std::uint64_t iter, const MiniBatch &cur,
     // coalesced grad rows and prepared rows are both the sorted unique
     // indices of cur, so the tensors are row-aligned.
     const float step_scale = hyper_.lr / normDenominator(batch);
+    const KernelTable &kt = kernels();
     for (std::size_t t = 0; t < model_.config().numTables; ++t) {
         SparseGrad &grad = sparseGrads_[t];
         EanaPrepared::TableState &pt = prep.tables[t];
@@ -98,7 +99,7 @@ EanaAlgorithm::apply(std::uint64_t iter, const MiniBatch &cur,
             [&](std::size_t, std::size_t lo, std::size_t hi) {
                 for (std::size_t i = lo; i < hi; ++i) {
                     float *dst = grad.values.data() + i * dim;
-                    simd::add(dst, dst, pt.noise.data() + i * dim, dim);
+                    kt.add(dst, dst, pt.noise.data() + i * dim, dim);
                 }
             });
         timer.stop();

@@ -2,7 +2,6 @@
 
 #include "common/macros.h"
 #include "kernels/kernel_registry.h"
-#include "tensor/simd_kernels.h"
 
 namespace lazydp {
 
@@ -30,7 +29,7 @@ addSparseIntoDense(const SparseGrad &grad, Tensor &dense)
     const std::size_t dim = dense.cols();
     LAZYDP_ASSERT(grad.values.cols() == dim, "sparse/dense dim mismatch");
     // a == 1.0f makes the scatter's fmadd bit-equal to a plain add, so
-    // this matches the historical per-row simd::add exactly.
+    // this matches the historical per-row add exactly.
     kernels().scatterAxpyRows(dense.data(), grad.rows.data(),
                               grad.values.data(), grad.rows.size(), dim,
                               1.0f);
@@ -44,6 +43,7 @@ streamingTableUpdate(Tensor &weights, const Tensor &update, float scale,
                       weights.cols() == update.cols(),
                   "update tensor shape mismatch");
     const std::size_t n = weights.size();
+    const KernelTable &kt = kernels();
     // Fixed 64K-element shards: boundaries depend on n only, so the
     // streamed result is identical at any thread count.
     parallelForShards(
@@ -51,13 +51,13 @@ streamingTableUpdate(Tensor &weights, const Tensor &update, float scale,
         [&](std::size_t, std::size_t lo, std::size_t hi) {
             const std::size_t len = hi - lo;
             if (decay == 1.0f) {
-                simd::axpy(weights.data() + lo, update.data() + lo, len,
-                           -scale);
+                kt.axpy(weights.data() + lo, update.data() + lo, len,
+                        -scale);
             } else {
                 // w = decay * w - scale * update (weight decay folded
                 // into the same streaming pass)
-                simd::axpby(weights.data() + lo, update.data() + lo, len,
-                            -scale, decay);
+                kt.axpby(weights.data() + lo, update.data() + lo, len,
+                         -scale, decay);
             }
         });
 }
@@ -77,6 +77,7 @@ streamingTableUpdate(EmbeddingTable &table, const Tensor &update,
     const std::size_t n =
         static_cast<std::size_t>(table.rows()) * dim;
     LAZYDP_ASSERT(update.size() == n, "update tensor shape mismatch");
+    const KernelTable &kt = kernels();
     // Same 64K shards as the dense overload, each walked page by page.
     // Both cut points (64K shard starts, page boundaries) are multiples
     // of 8 floats, so sub-range starts keep the kernels' 8-wide group
@@ -92,10 +93,10 @@ streamingTableUpdate(EmbeddingTable &table, const Tensor &update,
                     std::min(hi - pos, page_floats - in_page);
                 float *w = store.pagePtrMut(p) + in_page;
                 if (decay == 1.0f) {
-                    simd::axpy(w, update.data() + pos, len, -scale);
+                    kt.axpy(w, update.data() + pos, len, -scale);
                 } else {
-                    simd::axpby(w, update.data() + pos, len, -scale,
-                                decay);
+                    kt.axpby(w, update.data() + pos, len, -scale,
+                             decay);
                 }
                 pos += len;
             }

@@ -47,8 +47,6 @@
 #include <cstdint>
 #include <string>
 
-#include "rng/gaussian_kernel.h"
-
 namespace lazydp {
 
 class Philox4x32;
@@ -77,7 +75,6 @@ struct KernelTable
 {
     KernelBackend backend; //!< concrete backend (never Auto)
     const char *name;      //!< "scalar" / "avx2"
-    GaussianKernel gaussian; //!< Box-Muller implementation to match
 
     /** dst[i] = v */
     void (*fill)(float *dst, std::size_t n, float v);
@@ -166,11 +163,11 @@ bool kernelBackendAvailable(KernelBackend b);
  * hardware instead of crashing).
  *
  * Call BEFORE constructing engines: elementwise/reduction kernels
- * follow the new table immediately, but the Box-Muller choice is
- * latched when a NoiseProvider/GaussianSampler resolves
- * GaussianKernel::Auto at construction — deliberately, so one run's
- * noise stream never switches implementations mid-flight. An engine
- * built under the old backend keeps its old noise kernel.
+ * follow the new table immediately, but a NoiseProvider or
+ * GaussianSampler keeps the table it was constructed with —
+ * deliberately, so one run's noise stream never switches
+ * implementations mid-flight. An engine built under the old backend
+ * keeps its old noise kernel.
  */
 void setKernelBackend(KernelBackend b);
 

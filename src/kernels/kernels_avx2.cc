@@ -479,7 +479,6 @@ avx2Table()
     static const KernelTable table = {
         KernelBackend::Avx2,
         "avx2",
-        GaussianKernel::Avx2,
         fillAvx2,
         axpyAvx2,
         axpbyAvx2,

@@ -2,8 +2,8 @@
  * @file
  * Internal seams between the kernel backends and the registry.
  *
- * Not installed API: only kernel_registry.cc, kernels_scalar.cc,
- * kernels_avx2.cc and rng/gaussian.cc include this.
+ * Not installed API: only kernel_registry.cc, kernels_scalar.cc and
+ * kernels_avx2.cc include this.
  */
 
 #ifndef LAZYDP_KERNELS_KERNELS_INTERNAL_H

@@ -202,7 +202,6 @@ scalarTable()
     static const KernelTable table = {
         KernelBackend::Scalar,
         "scalar",
-        GaussianKernel::Scalar,
         fillScalar,
         axpyScalar,
         axpbyScalar,

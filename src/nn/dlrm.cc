@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "common/macros.h"
-#include "tensor/simd_kernels.h"
+#include "kernels/kernel_registry.h"
 
 namespace lazydp {
 
@@ -356,6 +356,7 @@ DlrmModel::accumulateEmbeddingGhostNormSq(const MiniBatch &mb,
     // example's full table gradient is therefore
     // (sum over unique rows m^2) * ||g_e||^2.
     std::unordered_map<std::uint32_t, std::uint32_t> mult;
+    const KernelTable &kt = kernels();
     for (std::size_t t = 0; t < config_.numTables; ++t) {
         const Tensor &d_out = ws.dEmbOut[t];
         for (std::size_t e = 0; e < batch; ++e) {
@@ -372,7 +373,7 @@ DlrmModel::accumulateEmbeddingGhostNormSq(const MiniBatch &mb,
                     m2_sum += static_cast<double>(m) *
                               static_cast<double>(m);
             }
-            const double g2 = simd::squaredNorm(
+            const double g2 = kt.squaredNorm(
                 d_out.data() + e * config_.embedDim, config_.embedDim);
             out[e] += m2_sum * g2;
         }

@@ -7,7 +7,6 @@
 #include "common/macros.h"
 #include "kernels/kernel_registry.h"
 #include "rng/xoshiro.h"
-#include "tensor/simd_kernels.h"
 
 namespace lazydp {
 
@@ -154,6 +153,7 @@ EmbeddingTable::backward(std::span<const std::uint32_t> indices,
     // Sum-pooling distributes the pooled gradient unchanged to each
     // gathered row; duplicates within an example accumulate twice, as
     // autograd would.
+    const KernelTable &kt = kernels();
     for (std::size_t e = 0; e < batch; ++e) {
         const float *src = d_out.data() + e * dim_;
         for (std::size_t s = 0; s < pooling; ++s) {
@@ -162,7 +162,7 @@ EmbeddingTable::backward(std::span<const std::uint32_t> indices,
                                              grad.rows.end(), row);
             const auto slot =
                 static_cast<std::size_t>(it - grad.rows.begin());
-            simd::axpy(grad.values.data() + slot * dim_, src, dim_, 1.0f);
+            kt.axpy(grad.values.data() + slot * dim_, src, dim_, 1.0f);
         }
     }
 }

@@ -3,7 +3,7 @@
 #include <cstring>
 
 #include "common/macros.h"
-#include "tensor/simd_kernels.h"
+#include "kernels/kernel_registry.h"
 
 namespace lazydp {
 
@@ -50,6 +50,7 @@ DotInteraction::forwardInto(const std::vector<const Tensor *> &inputs,
         }
     }
 
+    const KernelTable &kt = kernels();
     parallelFor(exec, batch, [&](std::size_t lo, std::size_t hi) {
         for (std::size_t e = lo; e < hi; ++e) {
             float *dst = out.data() + e * outputDim();
@@ -59,7 +60,7 @@ DotInteraction::forwardInto(const std::vector<const Tensor *> &inputs,
             std::size_t k = dim_;
             for (std::size_t i = 0; i < numInputs_; ++i) {
                 for (std::size_t j = i + 1; j < numInputs_; ++j) {
-                    dst[k++] = static_cast<float>(simd::dot(
+                    dst[k++] = static_cast<float>(kt.dot(
                         feats + i * dim_, feats + j * dim_, dim_));
                 }
             }
@@ -92,13 +93,14 @@ DotInteraction::backwardFrom(const Tensor &d_out,
         t->zero();
     }
 
+    const KernelTable &kt = kernels();
     parallelFor(exec, batch, [&](std::size_t lo, std::size_t hi) {
         for (std::size_t e = lo; e < hi; ++e) {
             const float *g = d_out.data() + e * outputDim();
             const float *feats = cache.data() + e * numInputs_ * dim_;
             // pass-through gradient into input 0
-            simd::add(d_inputs[0]->data() + e * dim_,
-                      d_inputs[0]->data() + e * dim_, g, dim_);
+            kt.add(d_inputs[0]->data() + e * dim_,
+                   d_inputs[0]->data() + e * dim_, g, dim_);
             std::size_t k = dim_;
             for (std::size_t i = 0; i < numInputs_; ++i) {
                 for (std::size_t j = i + 1; j < numInputs_; ++j) {
@@ -106,10 +108,10 @@ DotInteraction::backwardFrom(const Tensor &d_out,
                     if (gk == 0.0f)
                         continue;
                     // d z_i += g * z_j ; d z_j += g * z_i
-                    simd::axpy(d_inputs[i]->data() + e * dim_,
-                               feats + j * dim_, dim_, gk);
-                    simd::axpy(d_inputs[j]->data() + e * dim_,
-                               feats + i * dim_, dim_, gk);
+                    kt.axpy(d_inputs[i]->data() + e * dim_,
+                            feats + j * dim_, dim_, gk);
+                    kt.axpy(d_inputs[j]->data() + e * dim_,
+                            feats + i * dim_, dim_, gk);
                 }
             }
         }

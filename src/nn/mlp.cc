@@ -3,9 +3,9 @@
 #include <cmath>
 
 #include "common/macros.h"
+#include "kernels/kernel_registry.h"
 #include "rng/xoshiro.h"
 #include "tensor/matmul.h"
-#include "tensor/simd_kernels.h"
 
 namespace lazydp {
 
@@ -129,11 +129,12 @@ LinearLayer::accumulateGhostNormSqFrom(const Tensor &d_y,
     const std::size_t batch = d_y.rows();
     LAZYDP_ASSERT(out.size() == batch, "ghost-norm accumulator length");
     LAZYDP_ASSERT(x_cache.rows() == batch, "ghost norm needs forward cache");
+    const KernelTable &kt = kernels();
     for (std::size_t e = 0; e < batch; ++e) {
         const double g2 =
-            simd::squaredNorm(d_y.data() + e * out_, out_);
+            kt.squaredNorm(d_y.data() + e * out_, out_);
         const double a2 =
-            simd::squaredNorm(x_cache.data() + e * in_, in_);
+            kt.squaredNorm(x_cache.data() + e * in_, in_);
         out[e] += g2 * a2 + g2; // weight term + bias term
     }
 }
@@ -177,12 +178,13 @@ LinearLayer::perExampleGradsFrom(const Tensor &d_y, const Tensor &x_cache,
 void
 LinearLayer::apply(float lr, float decay)
 {
+    const KernelTable &kt = kernels();
     if (decay == 1.0f) {
-        simd::axpy(w_.data(), w_grad_.data(), w_.size(), -lr);
-        simd::axpy(b_.data(), b_grad_.data(), b_.size(), -lr);
+        kt.axpy(w_.data(), w_grad_.data(), w_.size(), -lr);
+        kt.axpy(b_.data(), b_grad_.data(), b_.size(), -lr);
     } else {
-        simd::axpby(w_.data(), w_grad_.data(), w_.size(), -lr, decay);
-        simd::axpby(b_.data(), b_grad_.data(), b_.size(), -lr, decay);
+        kt.axpby(w_.data(), w_grad_.data(), w_.size(), -lr, decay);
+        kt.axpby(b_.data(), b_grad_.data(), b_.size(), -lr, decay);
     }
 }
 
@@ -220,6 +222,7 @@ Mlp::forward(const Tensor &x, Tensor &y, MlpWorkspace &ws,
     LAZYDP_ASSERT(x.cols() == dims_.front(), "MLP input width");
     ensureWorkspace(ws);
     const std::size_t batch = x.rows();
+    const KernelTable &kt = kernels();
 
     const Tensor *cur = &x;
     for (std::size_t l = 0; l < layers_.size(); ++l) {
@@ -231,7 +234,7 @@ Mlp::forward(const Tensor &x, Tensor &y, MlpWorkspace &ws,
             // ReLU in place on a copy kept as the next layer's input;
             // we keep z pre-activation for the backward mask, so apply
             // ReLU into the next buffer.
-            simd::reluForward(z.data(), z.data(), z.size());
+            kt.reluForward(z.data(), z.data(), z.size());
         }
         cur = &z;
     }
@@ -248,6 +251,7 @@ Mlp::backwardImpl(const Tensor &d_y, Tensor *d_x, MlpWorkspace &ws,
     const std::size_t batch = d_y.rows();
     LAZYDP_ASSERT(d_y.cols() == dims_.back(), "MLP upstream grad width");
     ensureWorkspace(ws);
+    const KernelTable &kt = kernels();
 
     const Tensor *cur_grad = &d_y;
     for (std::size_t li = layers_.size(); li-- > 0;) {
@@ -274,8 +278,8 @@ Mlp::backwardImpl(const Tensor &d_y, Tensor *d_x, MlpWorkspace &ws,
             // the mask of (pre-relu > 0) except at exactly 0 where both
             // are 0 -- identical gradients.
             const Tensor &activated = ws.zCache[li - 1];
-            simd::reluBackward(dst->data(), activated.data(), dst->data(),
-                               dst->size());
+            kt.reluBackward(dst->data(), activated.data(), dst->data(),
+                            dst->size());
             cur_grad = dst;
         }
     }
@@ -346,6 +350,7 @@ Mlp::backwardNormsOnly(const Tensor &d_y, Tensor *d_x,
 {
     const std::size_t batch = d_y.rows();
     LAZYDP_ASSERT(norm_sq.size() == batch, "norm accumulator length");
+    const KernelTable &kt = kernels();
     backwardImpl(d_y, d_x, ws,
                  [&](std::size_t li, const Tensor &g, Tensor *dx) {
                      const LinearLayer &layer = layers_[li];
@@ -354,10 +359,10 @@ Mlp::backwardNormsOnly(const Tensor &d_y, Tensor *d_x,
                      parallelFor(exec, batch,
                                  [&](std::size_t lo, std::size_t hi) {
                          for (std::size_t e = lo; e < hi; ++e) {
-                             norm_sq[e] += simd::squaredNorm(
+                             norm_sq[e] += kt.squaredNorm(
                                  ws.normW.data() + e * ws.normW.cols(),
                                  ws.normW.cols());
-                             norm_sq[e] += simd::squaredNorm(
+                             norm_sq[e] += kt.squaredNorm(
                                  ws.normB.data() + e * ws.normB.cols(),
                                  ws.normB.cols());
                          }

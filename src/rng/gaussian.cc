@@ -2,47 +2,15 @@
 
 #include <algorithm>
 
-#include "common/macros.h"
-#include "kernels/kernels_internal.h"
-
 namespace lazydp {
-
-GaussianKernel
-resolveGaussianKernel(GaussianKernel k)
-{
-    if (k != GaussianKernel::Auto)
-        return k;
-    // Auto follows the process-wide kernel backend selection
-    // (--kernels / LAZYDP_KERNELS / cpuid), so one knob switches the
-    // noise path together with the rest of the hot loops.
-    return kernels().gaussian;
-}
 
 namespace gaussian_detail {
 
 void
-fillKeyed(const Philox4x32 &philox, std::uint64_t ctr_hi,
-          std::uint64_t lo_base, float *dst, std::size_t dim, float sigma,
-          float scale, bool accumulate, GaussianKernel kernel)
-{
-    if (resolveGaussianKernel(kernel) == GaussianKernel::Avx2) {
-        if (const KernelTable *avx2 = kernelTable(KernelBackend::Avx2)) {
-            avx2->gaussianFillKeyed(philox, ctr_hi, lo_base, dst, dim,
-                                    sigma, scale, accumulate);
-            return;
-        }
-        // Explicit Avx2 request on a host without it: the scalar fill
-        // is distributionally identical (same counters).
-    }
-    kernels_detail::gaussianFillKeyedScalar(philox, ctr_hi, lo_base, dst,
-                                            dim, sigma, scale, accumulate);
-}
-
-void
-fillKeyedParallel(const Philox4x32 &philox, std::uint64_t ctr_hi,
-                  std::uint64_t lo_base, float *dst, std::size_t dim,
-                  float sigma, float scale, bool accumulate,
-                  GaussianKernel kernel, ExecContext &exec)
+fillKeyedParallel(const KernelTable &kt, const Philox4x32 &philox,
+                  std::uint64_t ctr_hi, std::uint64_t lo_base, float *dst,
+                  std::size_t dim, float sigma, float scale,
+                  bool accumulate, ExecContext &exec)
 {
     // Shard on Philox-block boundaries (4 samples each) so every shard
     // consumes exactly the counters the serial path would have used for
@@ -53,26 +21,24 @@ fillKeyedParallel(const Philox4x32 &philox, std::uint64_t ctr_hi,
         [&](std::size_t, std::size_t blo, std::size_t bhi) {
             const std::size_t sample_lo = 4 * blo;
             const std::size_t sample_hi = std::min(dim, 4 * bhi);
-            fillKeyed(philox, ctr_hi, lo_base + blo, dst + sample_lo,
-                      sample_hi - sample_lo, sigma, scale, accumulate,
-                      kernel);
+            kt.gaussianFillKeyed(philox, ctr_hi, lo_base + blo,
+                                 dst + sample_lo, sample_hi - sample_lo,
+                                 sigma, scale, accumulate);
         });
 }
 
 } // namespace gaussian_detail
 
 GaussianSampler::GaussianSampler(std::uint64_t seed, std::uint64_t stream,
-                                 GaussianKernel kernel)
-    : philox_(seed), hi_(stream), lo_(0),
-      kernel_(resolveGaussianKernel(kernel))
+                                 const KernelTable &kt)
+    : philox_(seed), hi_(stream), lo_(0), kt_(&kt)
 {
 }
 
 void
 GaussianSampler::fill(float *dst, std::size_t n, float sigma)
 {
-    gaussian_detail::fillKeyed(philox_, hi_, lo_, dst, n, sigma, 1.0f,
-                               false, kernel_);
+    kt_->gaussianFillKeyed(philox_, hi_, lo_, dst, n, sigma, 1.0f, false);
     lo_ += (n + 3) / 4;
 }
 
@@ -80,8 +46,8 @@ void
 GaussianSampler::fill(float *dst, std::size_t n, float sigma,
                       ExecContext &exec)
 {
-    gaussian_detail::fillKeyedParallel(philox_, hi_, lo_, dst, n, sigma,
-                                       1.0f, false, kernel_, exec);
+    gaussian_detail::fillKeyedParallel(*kt_, philox_, hi_, lo_, dst, n,
+                                       sigma, 1.0f, false, exec);
     lo_ += (n + 3) / 4;
 }
 
@@ -89,8 +55,7 @@ void
 GaussianSampler::accumulate(float *dst, std::size_t n, float sigma,
                             float scale)
 {
-    gaussian_detail::fillKeyed(philox_, hi_, lo_, dst, n, sigma, scale,
-                               true, kernel_);
+    kt_->gaussianFillKeyed(philox_, hi_, lo_, dst, n, sigma, scale, true);
     lo_ += (n + 3) / 4;
 }
 

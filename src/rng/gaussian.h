@@ -7,10 +7,15 @@
  * logarithm, a square root and a sin/cos evaluation (~101 vector ops per
  * 8-wide vector in the AVX2 path).
  *
- * Determinism contract: for a fixed (seed, counter, kernel) the output
- * is bit-stable. The Scalar and Avx2 kernels consume identical counter
- * blocks and differ only by libm-vs-polynomial rounding (|diff| < 1e-5
- * per sample), so distributions are identical across kernels.
+ * The fill itself is KernelTable::gaussianFillKeyed: it writes (or
+ * accumulates) `scale * z` for `dim` samples, where z ~ N(0, sigma^2)
+ * and sample 4b+j is derived from Philox block (ctr_hi, lo_base + b).
+ *
+ * Determinism contract: for a fixed (seed, counter, kernel table) the
+ * output is bit-stable. The scalar and AVX2 tables consume identical
+ * counter blocks and differ only by libm-vs-polynomial rounding
+ * (|diff| < 1e-5 per sample), so distributions are identical across
+ * backends.
  */
 
 #ifndef LAZYDP_RNG_GAUSSIAN_H
@@ -20,7 +25,7 @@
 #include <cstdint>
 
 #include "common/thread_pool.h"
-#include "rng/gaussian_kernel.h"
+#include "kernels/kernel_registry.h"
 #include "rng/philox.h"
 
 namespace lazydp {
@@ -28,27 +33,16 @@ namespace lazydp {
 namespace gaussian_detail {
 
 /**
- * Core keyed generator: writes (or accumulates) `scale * z` for
- * `dim` samples into @p dst, where z ~ N(0, sigma^2) and sample 4b+j
- * is derived from Philox block (ctr_hi, lo_base + b).
- *
- * @param accumulate when true, dst[i] += value; else dst[i] = value.
+ * Pool-parallel @p kt.gaussianFillKeyed for bulk fills: the counter
+ * range is sharded on 4-sample Philox-block boundaries with a fixed
+ * grain, so the output is bit-identical to one serial call at any
+ * thread count (every sample is derived from its keyed counter, not
+ * draw order).
  */
-void fillKeyed(const Philox4x32 &philox, std::uint64_t ctr_hi,
-               std::uint64_t lo_base, float *dst, std::size_t dim,
-               float sigma, float scale, bool accumulate,
-               GaussianKernel kernel);
-
-/**
- * Pool-parallel fillKeyed for bulk fills: the counter range is sharded
- * on 4-sample Philox-block boundaries with a fixed grain, so the
- * output is bit-identical to the serial fillKeyed at any thread count
- * (every sample is derived from its keyed counter, not draw order).
- */
-void fillKeyedParallel(const Philox4x32 &philox, std::uint64_t ctr_hi,
-                       std::uint64_t lo_base, float *dst, std::size_t dim,
-                       float sigma, float scale, bool accumulate,
-                       GaussianKernel kernel, ExecContext &exec);
+void fillKeyedParallel(const KernelTable &kt, const Philox4x32 &philox,
+                       std::uint64_t ctr_hi, std::uint64_t lo_base,
+                       float *dst, std::size_t dim, float sigma,
+                       float scale, bool accumulate, ExecContext &exec);
 
 } // namespace gaussian_detail
 
@@ -64,10 +58,11 @@ class GaussianSampler
     /**
      * @param seed Philox key
      * @param stream independent-stream selector (lands in ctr_hi)
-     * @param kernel implementation selection
+     * @param kt kernel table whose Box-Muller fill every draw uses,
+     *           fixed for the sampler's lifetime
      */
     explicit GaussianSampler(std::uint64_t seed, std::uint64_t stream = 0,
-                             GaussianKernel kernel = GaussianKernel::Auto);
+                             const KernelTable &kt = kernels());
 
     /** dst[i] = z_i with z ~ N(0, sigma^2), advancing the stream. */
     void fill(float *dst, std::size_t n, float sigma);
@@ -82,14 +77,11 @@ class GaussianSampler
     /** dst[i] += scale * z_i with z ~ N(0, sigma^2). */
     void accumulate(float *dst, std::size_t n, float sigma, float scale);
 
-    /** @return kernel actually in use (Auto resolved). */
-    GaussianKernel kernel() const { return kernel_; }
-
   private:
     Philox4x32 philox_;
     std::uint64_t hi_;
     std::uint64_t lo_;
-    GaussianKernel kernel_;
+    const KernelTable *kt_;
 };
 
 } // namespace lazydp

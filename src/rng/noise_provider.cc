@@ -6,8 +6,8 @@
 
 namespace lazydp {
 
-NoiseProvider::NoiseProvider(std::uint64_t seed, GaussianKernel kernel)
-    : philox_(seed), kernel_(resolveGaussianKernel(kernel))
+NoiseProvider::NoiseProvider(std::uint64_t seed, const KernelTable &kt)
+    : philox_(seed), kt_(&kt)
 {
 }
 
@@ -35,8 +35,8 @@ NoiseProvider::rowNoise(std::uint64_t iter, std::uint32_t table,
     LAZYDP_ASSERT(dim <= kMaxDim, "embedding dim exceeds counter layout");
     std::uint64_t hi, lo;
     composeCounter(/*domain=*/0, iter, table, row, hi, lo);
-    gaussian_detail::fillKeyed(philox_, hi, lo, dst, dim, sigma, scale,
-                               accumulate, kernel_);
+    kt_->gaussianFillKeyed(philox_, hi, lo, dst, dim, sigma, scale,
+                           accumulate);
 }
 
 void
@@ -48,8 +48,8 @@ NoiseProvider::rowNoiseParallel(std::uint64_t iter, std::uint32_t table,
     LAZYDP_ASSERT(dim <= kMaxDim, "embedding dim exceeds counter layout");
     std::uint64_t hi, lo;
     composeCounter(/*domain=*/0, iter, table, row, hi, lo);
-    gaussian_detail::fillKeyedParallel(philox_, hi, lo, dst, dim, sigma,
-                                       scale, accumulate, kernel_, exec);
+    gaussian_detail::fillKeyedParallel(*kt_, philox_, hi, lo, dst, dim,
+                                       sigma, scale, accumulate, exec);
 }
 
 void
@@ -91,8 +91,8 @@ NoiseProvider::aggregatedRowNoise(std::uint64_t iter_from,
     const float agg_sigma = sigma * std::sqrt(k);
     std::uint64_t hi, lo;
     composeCounter(/*domain=*/1, iter_to, table, row, hi, lo);
-    gaussian_detail::fillKeyed(philox_, hi, lo, dst, dim, agg_sigma, scale,
-                               true, kernel_);
+    kt_->gaussianFillKeyed(philox_, hi, lo, dst, dim, agg_sigma, scale,
+                           true);
 }
 
 void
@@ -132,8 +132,8 @@ NoiseProvider::aggregatedGeometricRowNoise(
         sigma * static_cast<float>(std::sqrt(var_factor));
     std::uint64_t hi, lo;
     composeCounter(/*domain=*/1, iter_to, table, row, hi, lo);
-    gaussian_detail::fillKeyed(philox_, hi, lo, dst, dim, agg_sigma,
-                               scale, true, kernel_);
+    kt_->gaussianFillKeyed(philox_, hi, lo, dst, dim, agg_sigma, scale,
+                           true);
 }
 
 } // namespace lazydp

@@ -49,10 +49,12 @@ class NoiseProvider
 
     /**
      * @param seed global privacy-noise seed
-     * @param kernel Box-Muller implementation selection
+     * @param kt kernel table whose Box-Muller fill every draw uses,
+     *           fixed for the provider's lifetime so one run's noise
+     *           stream never switches implementations mid-run
      */
     explicit NoiseProvider(std::uint64_t seed,
-                           GaussianKernel kernel = GaussianKernel::Auto);
+                           const KernelTable &kt = kernels());
 
     /**
      * dst[j] op= scale * z_j where z ~ N(0, sigma^2) keyed by
@@ -134,9 +136,6 @@ class NoiseProvider
                                      float sigma, float scale, float *dst,
                                      std::size_t dim) const;
 
-    /** @return kernel in use (Auto resolved). */
-    GaussianKernel kernel() const { return kernel_; }
-
     /** @return the seed the provider was constructed with. */
     std::uint64_t seed() const { return philox_.seed(); }
 
@@ -147,7 +146,7 @@ class NoiseProvider
                                std::uint64_t &ctr_hi, std::uint64_t &lo_base);
 
     Philox4x32 philox_;
-    GaussianKernel kernel_;
+    const KernelTable *kt_;
 };
 
 } // namespace lazydp

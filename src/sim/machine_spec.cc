@@ -5,8 +5,8 @@
 
 #include "common/thread_pool.h"
 #include "common/timer.h"
+#include "kernels/kernel_registry.h"
 #include "rng/noise_provider.h"
-#include "tensor/simd_kernels.h"
 #include "tensor/tensor.h"
 
 namespace lazydp {
@@ -29,6 +29,7 @@ measureHost()
     // pool at hardware width.
     ThreadPool pool(hardwareThreads());
     ExecContext exec(&pool);
+    const KernelTable &kt = kernels();
 
     // Working set large enough to defeat the LLC (~256 MB).
     const std::size_t n = 64u << 20;
@@ -44,8 +45,8 @@ measureHost()
             parallelForShards(
                 exec, n, n / 64,
                 [&](std::size_t, std::size_t lo, std::size_t hi) {
-                    simd::axpy(a.data() + lo, b.data() + lo, hi - lo,
-                               0.5f);
+                    kt.axpy(a.data() + lo, b.data() + lo, hi - lo,
+                            0.5f);
                 });
         }
         const double secs = t.seconds();
@@ -55,7 +56,7 @@ measureHost()
 
     // Gaussian sampling rate with the production keyed kernel.
     {
-        NoiseProvider np(0xCA11B, GaussianKernel::Auto);
+        NoiseProvider np(0xCA11B, kt);
         const std::size_t rows = n / 128;
         WallTimer t;
         parallelFor(exec, rows, [&](std::size_t lo, std::size_t hi) {
@@ -78,7 +79,7 @@ measureHost()
         parallelForShards(
             exec, m, m / 16,
             [&](std::size_t s, std::size_t lo, std::size_t hi) {
-                flops_per[s] = simd::streamWithOps(
+                flops_per[s] = kt.streamWithOps(
                     a.data() + lo, b.data() + lo, hi - lo, n_ops);
             });
         std::size_t flops = 0;

@@ -2,7 +2,6 @@
 
 #include "common/macros.h"
 #include "kernels/kernel_registry.h"
-#include "tensor/simd_kernels.h"
 
 // The DLRM GEMMs are embarrassingly parallel across output rows; each
 // row's accumulation stays within one thread, so the results are
@@ -41,6 +40,7 @@ matmulAB(const Tensor &a, const Tensor &b, Tensor &c, bool accumulate,
 
     if (!accumulate)
         c.zero();
+    const KernelTable &kt = kernels();
     // i-k-j loop order: the inner loop is an axpy over contiguous rows
     // of B and C, which vectorizes well; rows of C are independent.
     parallelFor(exec, m, [&](std::size_t lo, std::size_t hi) {
@@ -51,7 +51,7 @@ matmulAB(const Tensor &a, const Tensor &b, Tensor &c, bool accumulate,
                 const float av = arow[kk];
                 if (av == 0.0f)
                     continue;
-                simd::axpy(crow, b.data() + kk * n, n, av);
+                kt.axpy(crow, b.data() + kk * n, n, av);
             }
         }
     });
@@ -69,6 +69,7 @@ matmulAtB(const Tensor &a, const Tensor &b, Tensor &c, bool accumulate,
 
     if (!accumulate)
         c.zero();
+    const KernelTable &kt = kernels();
     // parallelize over output rows i (each accumulates its own row of
     // C); the column walk over A is strided but race-free
     parallelFor(exec, m, [&](std::size_t lo, std::size_t hi) {
@@ -78,7 +79,7 @@ matmulAtB(const Tensor &a, const Tensor &b, Tensor &c, bool accumulate,
                 const float av = a.data()[kk * m + i];
                 if (av == 0.0f)
                     continue;
-                simd::axpy(crow, b.data() + kk * n, n, av);
+                kt.axpy(crow, b.data() + kk * n, n, av);
             }
         }
     });
@@ -89,9 +90,10 @@ addRowBias(Tensor &x, const Tensor &bias)
 {
     LAZYDP_ASSERT(bias.rows() == 1 && bias.cols() == x.cols(),
                   "addRowBias shape mismatch");
+    const KernelTable &kt = kernels();
     for (std::size_t r = 0; r < x.rows(); ++r)
-        simd::add(x.data() + r * x.cols(), x.data() + r * x.cols(),
-                  bias.data(), x.cols());
+        kt.add(x.data() + r * x.cols(), x.data() + r * x.cols(),
+               bias.data(), x.cols());
 }
 
 void
@@ -100,9 +102,10 @@ reduceRows(const Tensor &dy, Tensor &bias_grad)
     LAZYDP_ASSERT(bias_grad.rows() == 1 && bias_grad.cols() == dy.cols(),
                   "reduceRows shape mismatch");
     bias_grad.zero();
+    const KernelTable &kt = kernels();
     for (std::size_t r = 0; r < dy.rows(); ++r)
-        simd::add(bias_grad.data(), bias_grad.data(),
-                  dy.data() + r * dy.cols(), dy.cols());
+        kt.add(bias_grad.data(), bias_grad.data(),
+               dy.data() + r * dy.cols(), dy.cols());
 }
 
 } // namespace lazydp

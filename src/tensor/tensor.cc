@@ -1,7 +1,7 @@
 #include "tensor/tensor.h"
 
 #include "common/macros.h"
-#include "tensor/simd_kernels.h"
+#include "kernels/kernel_registry.h"
 
 namespace lazydp {
 
@@ -40,13 +40,13 @@ Tensor::copyFrom(const Tensor &other)
 void
 Tensor::fill(float v)
 {
-    simd::fill(buf_.data(), size(), v);
+    kernels().fill(buf_.data(), size(), v);
 }
 
 double
 Tensor::squaredNorm() const
 {
-    return simd::squaredNorm(buf_.data(), size());
+    return kernels().squaredNorm(buf_.data(), size());
 }
 
 } // namespace lazydp

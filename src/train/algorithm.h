@@ -35,7 +35,6 @@
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "data/minibatch.h"
-#include "rng/gaussian.h"
 #include "train/dirty_tracker.h"
 
 namespace lazydp {
@@ -68,7 +67,6 @@ struct TrainHyper
      * for fixed-size sequential loading.
      */
     std::size_t lotSize = 0;
-    GaussianKernel kernel = GaussianKernel::Auto; //!< noise kernel
 };
 
 /**

@@ -1,7 +1,7 @@
 #include "train/sgd.h"
 
 #include "common/logging.h"
-#include "tensor/simd_kernels.h"
+#include "kernels/kernel_registry.h"
 
 namespace lazydp {
 
@@ -70,8 +70,8 @@ SgdAlgorithm::apply(std::uint64_t iter, const MiniBatch &cur,
                 sh.logits, sh.batch.labels, sh.dLogits);
             // per-batch averaging folded into the loss gradient; a
             // per-example operation, so it commutes with the sharding
-            simd::scale(sh.dLogits.data(), sh.dLogits.size(),
-                        1.0f / static_cast<float>(batch));
+            kernels().scale(sh.dLogits.data(), sh.dLogits.size(),
+                            1.0f / static_cast<float>(batch));
             sh.timer.stop();
 
             sh.timer.start(Stage::BackwardPerBatch);

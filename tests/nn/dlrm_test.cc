@@ -5,9 +5,9 @@
 #include <cmath>
 
 #include "data/synthetic_dataset.h"
+#include "kernels/kernel_registry.h"
 #include "nn/dlrm.h"
 #include "nn/loss.h"
-#include "tensor/simd_kernels.h"
 
 namespace lazydp {
 namespace {
@@ -169,11 +169,11 @@ TEST(DlrmTest, GhostNormsMatchPerExampleForFullModel)
     auto add = [&](const PerExampleGrads &peg) {
         for (const auto &w : peg.w)
             for (std::size_t e = 0; e < 6; ++e)
-                ref[e] += simd::squaredNorm(w.data() + e * w.cols(),
-                                            w.cols());
+                ref[e] += kernels().squaredNorm(w.data() + e * w.cols(),
+                                                w.cols());
         for (const auto &bias : peg.b)
             for (std::size_t e = 0; e < 6; ++e)
-                ref[e] += simd::squaredNorm(
+                ref[e] += kernels().squaredNorm(
                     bias.data() + e * bias.cols(), bias.cols());
     };
     add(top);
@@ -206,8 +206,8 @@ TEST(DlrmTest, EmbeddingGhostNormCountsDuplicateMultiplicity)
 
     std::vector<double> ghost(1, 0.0);
     model.accumulateEmbeddingGhostNormSq(mb, ghost);
-    const double g2 = simd::squaredNorm(model.embOutGrad(0).data(),
-                                        mc.embedDim);
+    const double g2 = kernels().squaredNorm(model.embOutGrad(0).data(),
+                                            mc.embedDim);
     EXPECT_NEAR(ghost[0], 4.0 * g2, 1e-9); // m=2 -> m^2 = 4
 }
 

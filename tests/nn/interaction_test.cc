@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "kernels/kernel_registry.h"
 #include "nn/interaction.h"
 #include "rng/xoshiro.h"
-#include "tensor/simd_kernels.h"
 
 namespace lazydp {
 namespace {
@@ -65,7 +65,7 @@ TEST(InteractionTest, BackwardNumericalCheck)
         Tensor out(batch, inter.outputDim());
         DotInteraction fresh(n_in, dim);
         fresh.forward(ptrs, out);
-        return simd::dot(out.data(), g.data(), out.size());
+        return kernels().dot(out.data(), g.data(), out.size());
     };
 
     // analytic grads

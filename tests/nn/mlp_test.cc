@@ -7,9 +7,9 @@
 
 #include <cmath>
 
+#include "kernels/kernel_registry.h"
 #include "nn/mlp.h"
 #include "rng/xoshiro.h"
-#include "tensor/simd_kernels.h"
 
 namespace lazydp {
 namespace {
@@ -28,7 +28,7 @@ randomTensor(std::size_t r, std::size_t c, std::uint64_t seed)
 double
 proxyLoss(const Tensor &y, const Tensor &g)
 {
-    return simd::dot(y.data(), g.data(), y.size());
+    return kernels().dot(y.data(), g.data(), y.size());
 }
 
 TEST(LinearLayerTest, ForwardMatchesNaive)
@@ -126,8 +126,8 @@ TEST(LinearLayerTest, GhostNormEqualsMaterializedNorm)
     layer.perExampleGrads(g, wg, bg);
     for (std::size_t e = 0; e < 6; ++e) {
         const double ref =
-            simd::squaredNorm(wg.data() + e * wg.cols(), wg.cols()) +
-            simd::squaredNorm(bg.data() + e * bg.cols(), bg.cols());
+            kernels().squaredNorm(wg.data() + e * wg.cols(), wg.cols()) +
+            kernels().squaredNorm(bg.data() + e * bg.cols(), bg.cols());
         EXPECT_NEAR(ghost[e], ref, 1e-6 * (1.0 + ref));
     }
 }
@@ -265,10 +265,11 @@ TEST(MlpTest, GhostNormMatchesPerExampleThroughStack)
     for (std::size_t e = 0; e < 5; ++e) {
         double ref = 0.0;
         for (const auto &w : peg.w)
-            ref += simd::squaredNorm(w.data() + e * w.cols(), w.cols());
+            ref += kernels().squaredNorm(w.data() + e * w.cols(),
+                                         w.cols());
         for (const auto &bias : peg.b)
-            ref += simd::squaredNorm(bias.data() + e * bias.cols(),
-                                     bias.cols());
+            ref += kernels().squaredNorm(bias.data() + e * bias.cols(),
+                                         bias.cols());
         EXPECT_NEAR(ghost[e], ref, 1e-5 * (1.0 + ref)) << "e=" << e;
     }
 }

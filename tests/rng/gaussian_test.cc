@@ -10,27 +10,18 @@
 #include "common/stats.h"
 #include "common/thread_pool.h"
 #include "rng/gaussian.h"
+#include "backend_param.h"
 
 namespace lazydp {
 namespace {
 
-class GaussianKernelTest
-    : public ::testing::TestWithParam<GaussianKernel>
+class GaussianBackendTest : public KernelBackendTest
 {
-  protected:
-    void SetUp() override
-    {
-        if (GetParam() == GaussianKernel::Avx2 &&
-            resolveGaussianKernel(GaussianKernel::Auto) !=
-                GaussianKernel::Avx2) {
-            GTEST_SKIP() << "AVX2 unavailable on this host";
-        }
-    }
 };
 
-TEST_P(GaussianKernelTest, MomentsMatchStandardNormal)
+TEST_P(GaussianBackendTest, MomentsMatchStandardNormal)
 {
-    GaussianSampler s(123, 0, GetParam());
+    GaussianSampler s(123, 0, table());
     const std::size_t n = 1u << 20;
     std::vector<float> buf(n);
     s.fill(buf.data(), n, 1.0f);
@@ -42,9 +33,9 @@ TEST_P(GaussianKernelTest, MomentsMatchStandardNormal)
     EXPECT_NEAR(st.excessKurtosis(), 0.0, 0.05);
 }
 
-TEST_P(GaussianKernelTest, SigmaScalesStddev)
+TEST_P(GaussianBackendTest, SigmaScalesStddev)
 {
-    GaussianSampler s(77, 0, GetParam());
+    GaussianSampler s(77, 0, table());
     const std::size_t n = 1u << 18;
     std::vector<float> buf(n);
     s.fill(buf.data(), n, 2.5f);
@@ -53,9 +44,9 @@ TEST_P(GaussianKernelTest, SigmaScalesStddev)
     EXPECT_NEAR(st.stddev(), 2.5, 0.05);
 }
 
-TEST_P(GaussianKernelTest, HistogramMatchesNormalCdf)
+TEST_P(GaussianBackendTest, HistogramMatchesNormalCdf)
 {
-    GaussianSampler s(55, 0, GetParam());
+    GaussianSampler s(55, 0, table());
     const std::size_t n = 1u << 20;
     std::vector<float> buf(n);
     s.fill(buf.data(), n, 1.0f);
@@ -84,20 +75,20 @@ TEST_P(GaussianKernelTest, HistogramMatchesNormalCdf)
     EXPECT_LT(h_in.chiSquared(probs), 110.0);
 }
 
-TEST_P(GaussianKernelTest, DeterministicAcrossInstances)
+TEST_P(GaussianBackendTest, DeterministicAcrossInstances)
 {
-    GaussianSampler a(9, 4, GetParam());
-    GaussianSampler b(9, 4, GetParam());
+    GaussianSampler a(9, 4, table());
+    GaussianSampler b(9, 4, table());
     std::vector<float> va(1000), vb(1000);
     a.fill(va.data(), va.size(), 1.0f);
     b.fill(vb.data(), vb.size(), 1.0f);
     EXPECT_EQ(va, vb);
 }
 
-TEST_P(GaussianKernelTest, AccumulateAddsScaledNoise)
+TEST_P(GaussianBackendTest, AccumulateAddsScaledNoise)
 {
-    GaussianSampler a(31, 0, GetParam());
-    GaussianSampler b(31, 0, GetParam());
+    GaussianSampler a(31, 0, table());
+    GaussianSampler b(31, 0, table());
     std::vector<float> fresh(512);
     a.fill(fresh.data(), fresh.size(), 1.0f);
     std::vector<float> acc(512, 10.0f);
@@ -106,29 +97,27 @@ TEST_P(GaussianKernelTest, AccumulateAddsScaledNoise)
         EXPECT_NEAR(acc[i], 10.0f + 0.5f * fresh[i], 1e-5f);
 }
 
-TEST_P(GaussianKernelTest, StreamAdvances)
+TEST_P(GaussianBackendTest, StreamAdvances)
 {
-    GaussianSampler s(13, 0, GetParam());
+    GaussianSampler s(13, 0, table());
     std::vector<float> first(256), second(256);
     s.fill(first.data(), first.size(), 1.0f);
     s.fill(second.data(), second.size(), 1.0f);
     EXPECT_NE(first, second);
 }
 
-INSTANTIATE_TEST_SUITE_P(Kernels, GaussianKernelTest,
-                         ::testing::Values(GaussianKernel::Scalar,
-                                           GaussianKernel::Avx2));
+INSTANTIATE_TEST_SUITE_P(Kernels, GaussianBackendTest, allKernelBackends(),
+                         kernelBackendParamName);
 
 TEST(GaussianCrossKernelTest, ScalarAndAvx2AgreeClosely)
 {
-    if (resolveGaussianKernel(GaussianKernel::Auto) !=
-        GaussianKernel::Avx2) {
+    const KernelTable *avx2 = kernelTable(KernelBackend::Avx2);
+    if (avx2 == nullptr)
         GTEST_SKIP() << "AVX2 unavailable";
-    }
     // Same seed/counters -> same uniforms; outputs differ only by
     // polynomial-vs-libm rounding.
-    GaussianSampler scalar(5, 0, GaussianKernel::Scalar);
-    GaussianSampler avx(5, 0, GaussianKernel::Avx2);
+    GaussianSampler scalar(5, 0, *kernelTable(KernelBackend::Scalar));
+    GaussianSampler avx(5, 0, *avx2);
     std::vector<float> vs(4096), va(4096);
     scalar.fill(vs.data(), vs.size(), 1.0f);
     avx.fill(va.data(), va.size(), 1.0f);
@@ -136,19 +125,28 @@ TEST(GaussianCrossKernelTest, ScalarAndAvx2AgreeClosely)
         EXPECT_NEAR(vs[i], va[i], 2e-4f) << "i=" << i;
 }
 
-TEST(GaussianTest, AutoResolvesToConcreteKernel)
+TEST(GaussianTest, SamplerKeepsConstructionTable)
 {
-    const GaussianKernel k = resolveGaussianKernel(GaussianKernel::Auto);
-    EXPECT_NE(k, GaussianKernel::Auto);
+    // A backend switch after construction must not change the stream.
+    const KernelBackend before = activeKernelBackend();
+    setKernelBackend(KernelBackend::Scalar);
+    GaussianSampler latched(6, 1);
+    setKernelBackend(KernelBackend::Avx2);
+    GaussianSampler scalar(6, 1, *kernelTable(KernelBackend::Scalar));
+    std::vector<float> got(4096), want(4096);
+    latched.fill(got.data(), got.size(), 1.0f);
+    scalar.fill(want.data(), want.size(), 1.0f);
+    setKernelBackend(before);
+    EXPECT_EQ(got, want);
 }
 
-TEST_P(GaussianKernelTest, ParallelFillBitIdenticalToSerial)
+TEST_P(GaussianBackendTest, ParallelFillBitIdenticalToSerial)
 {
     // The pool-parallel bulk fill shards the counter range on Philox
     // block boundaries; output and stream advance must equal the
     // serial fill exactly, for every pool width and awkward length.
     for (const std::size_t n : {31u, 4096u, 100003u}) {
-        GaussianSampler serial(321, 2, GetParam());
+        GaussianSampler serial(321, 2, table());
         std::vector<float> want(n, 0.0f);
         serial.fill(want.data(), n, 1.3f);
         std::vector<float> want2(n, 0.0f); // second call: advanced lo
@@ -157,7 +155,7 @@ TEST_P(GaussianKernelTest, ParallelFillBitIdenticalToSerial)
         for (const std::size_t width : {1u, 2u, 8u}) {
             ThreadPool pool(width);
             ExecContext exec(&pool);
-            GaussianSampler par(321, 2, GetParam());
+            GaussianSampler par(321, 2, table());
             std::vector<float> got(n, 0.0f);
             par.fill(got.data(), n, 1.3f, exec);
             EXPECT_EQ(got, want) << "n=" << n << " width=" << width;

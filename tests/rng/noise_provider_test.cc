@@ -8,6 +8,7 @@
 #include <cmath>
 #include <vector>
 
+#include "backend_param.h"
 #include "common/stats.h"
 #include "rng/noise_provider.h"
 
@@ -16,9 +17,13 @@ namespace {
 
 constexpr std::size_t kDim = 128;
 
-TEST(NoiseProviderTest, SameKeySameNoiseRegardlessOfQueryTime)
+class NoiseProviderTest : public KernelBackendTest
 {
-    NoiseProvider np(0xAB);
+};
+
+TEST_P(NoiseProviderTest, SameKeySameNoiseRegardlessOfQueryTime)
+{
+    NoiseProvider np(0xAB, table());
     std::vector<float> a(kDim, 0.0f);
     std::vector<float> b(kDim, 0.0f);
     np.rowNoise(7, 3, 12345, 1.0f, 1.0f, a.data(), kDim);
@@ -29,9 +34,9 @@ TEST(NoiseProviderTest, SameKeySameNoiseRegardlessOfQueryTime)
     EXPECT_EQ(a, b);
 }
 
-TEST(NoiseProviderTest, DistinctKeysGiveDistinctNoise)
+TEST_P(NoiseProviderTest, DistinctKeysGiveDistinctNoise)
 {
-    NoiseProvider np(0xAB);
+    NoiseProvider np(0xAB, table());
     std::vector<float> base(kDim, 0.0f);
     np.rowNoise(1, 0, 0, 1.0f, 1.0f, base.data(), kDim, false);
 
@@ -49,19 +54,19 @@ TEST(NoiseProviderTest, DistinctKeysGiveDistinctNoise)
     }
 }
 
-TEST(NoiseProviderTest, DifferentSeedsAreIndependent)
+TEST_P(NoiseProviderTest, DifferentSeedsAreIndependent)
 {
-    NoiseProvider a(1);
-    NoiseProvider b(2);
+    NoiseProvider a(1, table());
+    NoiseProvider b(2, table());
     std::vector<float> va(kDim, 0.0f), vb(kDim, 0.0f);
     a.rowNoise(1, 0, 0, 1.0f, 1.0f, va.data(), kDim, false);
     b.rowNoise(1, 0, 0, 1.0f, 1.0f, vb.data(), kDim, false);
     EXPECT_NE(va, vb);
 }
 
-TEST(NoiseProviderTest, AccumulateEqualsSumOfIndividualDraws)
+TEST_P(NoiseProviderTest, AccumulateEqualsSumOfIndividualDraws)
 {
-    NoiseProvider np(7);
+    NoiseProvider np(7, table());
     std::vector<float> acc(kDim, 0.0f);
     np.accumulateRowNoise(3, 6, 2, 99, 1.5f, 1.0f, acc.data(), kDim);
 
@@ -72,9 +77,9 @@ TEST(NoiseProviderTest, AccumulateEqualsSumOfIndividualDraws)
         EXPECT_NEAR(acc[i], ref[i], 1e-6f);
 }
 
-TEST(NoiseProviderTest, ScaleIsApplied)
+TEST_P(NoiseProviderTest, ScaleIsApplied)
 {
-    NoiseProvider np(7);
+    NoiseProvider np(7, table());
     std::vector<float> unit(kDim, 0.0f), scaled(kDim, 0.0f);
     np.rowNoise(1, 0, 5, 1.0f, 1.0f, unit.data(), kDim, false);
     np.rowNoise(1, 0, 5, 1.0f, -0.25f, scaled.data(), kDim, false);
@@ -82,10 +87,10 @@ TEST(NoiseProviderTest, ScaleIsApplied)
         EXPECT_NEAR(scaled[i], -0.25f * unit[i], 1e-6f);
 }
 
-TEST(NoiseProviderTest, AggregatedUsesIndependentRandomness)
+TEST_P(NoiseProviderTest, AggregatedUsesIndependentRandomness)
 {
     // ANS draws must not collide with any per-iteration stream.
-    NoiseProvider np(7);
+    NoiseProvider np(7, table());
     std::vector<float> agg(kDim, 0.0f);
     np.aggregatedRowNoise(5, 5, 0, 10, 1.0f, 1.0f, agg.data(), kDim);
     std::vector<float> per(kDim, 0.0f);
@@ -93,10 +98,10 @@ TEST(NoiseProviderTest, AggregatedUsesIndependentRandomness)
     EXPECT_NE(agg, per);
 }
 
-TEST(NoiseProviderTest, AggregatedVarianceMatchesSum)
+TEST_P(NoiseProviderTest, AggregatedVarianceMatchesSum)
 {
     // Var of ANS draw over k delayed iterations must be k * sigma^2.
-    NoiseProvider np(11);
+    NoiseProvider np(11, table());
     const std::uint64_t k = 9;
     const float sigma = 0.8f;
     RunningStat st;
@@ -111,11 +116,11 @@ TEST(NoiseProviderTest, AggregatedVarianceMatchesSum)
     EXPECT_NEAR(st.variance(), k * sigma * sigma, 0.05);
 }
 
-TEST(NoiseProviderTest, IterativeVarianceMatchesSum)
+TEST_P(NoiseProviderTest, IterativeVarianceMatchesSum)
 {
     // The non-ANS path must ALSO have variance k * sigma^2 -- the two
     // paths are distributionally interchangeable (Theorem 5.1).
-    NoiseProvider np(13);
+    NoiseProvider np(13, table());
     const std::uint64_t k = 9;
     const float sigma = 0.8f;
     RunningStat st;
@@ -129,14 +134,13 @@ TEST(NoiseProviderTest, IterativeVarianceMatchesSum)
     EXPECT_NEAR(st.variance(), k * sigma * sigma, 0.05);
 }
 
-TEST(NoiseProviderTest, KernelsProduceSameStream)
+TEST(NoiseProviderCrossKernelTest, KernelsProduceSameStream)
 {
-    if (resolveGaussianKernel(GaussianKernel::Auto) !=
-        GaussianKernel::Avx2) {
+    const KernelTable *avx2 = kernelTable(KernelBackend::Avx2);
+    if (avx2 == nullptr)
         GTEST_SKIP() << "AVX2 unavailable";
-    }
-    NoiseProvider scalar(21, GaussianKernel::Scalar);
-    NoiseProvider avx(21, GaussianKernel::Avx2);
+    NoiseProvider scalar(21, *kernelTable(KernelBackend::Scalar));
+    NoiseProvider avx(21, *avx2);
     std::vector<float> vs(kDim, 0.0f), va(kDim, 0.0f);
     scalar.rowNoise(4, 2, 77, 1.0f, 1.0f, vs.data(), kDim, false);
     avx.rowNoise(4, 2, 77, 1.0f, 1.0f, va.data(), kDim, false);
@@ -144,9 +148,9 @@ TEST(NoiseProviderTest, KernelsProduceSameStream)
         EXPECT_NEAR(vs[i], va[i], 2e-4f);
 }
 
-TEST(NoiseProviderTest, NonMultipleOfFourDims)
+TEST_P(NoiseProviderTest, NonMultipleOfFourDims)
 {
-    NoiseProvider np(3);
+    NoiseProvider np(3, table());
     for (std::size_t dim : {1u, 2u, 3u, 5u, 127u}) {
         std::vector<float> buf(dim + 1, 42.0f);
         np.rowNoise(1, 0, 0, 1.0f, 1.0f, buf.data(), dim, false);
@@ -154,6 +158,25 @@ TEST(NoiseProviderTest, NonMultipleOfFourDims)
         EXPECT_EQ(buf[dim], 42.0f) << "dim=" << dim;
     }
 }
+
+TEST(NoiseProviderCrossKernelTest, ProviderKeepsConstructionTable)
+{
+    // The engines build their provider once; a backend switch after
+    // that must not change which Box-Muller fill the run draws from.
+    const KernelBackend before = activeKernelBackend();
+    setKernelBackend(KernelBackend::Scalar);
+    const NoiseProvider latched(21);
+    setKernelBackend(KernelBackend::Avx2);
+    const NoiseProvider scalar(21, *kernelTable(KernelBackend::Scalar));
+    std::vector<float> got(kDim, 0.0f), want(kDim, 0.0f);
+    latched.rowNoise(4, 2, 77, 1.0f, 1.0f, got.data(), kDim, false);
+    scalar.rowNoise(4, 2, 77, 1.0f, 1.0f, want.data(), kDim, false);
+    setKernelBackend(before);
+    EXPECT_EQ(got, want);
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, NoiseProviderTest, allKernelBackends(),
+                         kernelBackendParamName);
 
 class DelayRangeTest : public ::testing::TestWithParam<std::uint64_t>
 {

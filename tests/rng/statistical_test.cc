@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "backend_param.h"
 #include "rng/gaussian.h"
 #include "rng/noise_provider.h"
 
@@ -94,31 +95,36 @@ expectGaussianShape(const std::vector<float> &x, double sigma,
     EXPECT_LT(ksStatistic(x, sigma), 2.2 / std::sqrt(n)) << what;
 }
 
-TEST(GaussianStatisticalTest, BulkSamplerMomentsAndKs)
+class GaussianStatisticalTest : public KernelBackendTest
 {
-    for (const GaussianKernel kernel :
-         {GaussianKernel::Scalar, GaussianKernel::Auto}) {
-        GaussianSampler sampler(0x5EED, /*stream=*/3, kernel);
-        std::vector<float> x(1 << 15);
-        sampler.fill(x.data(), x.size(), /*sigma=*/1.0f);
-        expectGaussianShape(x, 1.0, "bulk sigma=1");
-    }
+};
+
+class NoiseProviderStatisticalTest : public KernelBackendTest
+{
+};
+
+TEST_P(GaussianStatisticalTest, BulkSamplerMomentsAndKs)
+{
+    GaussianSampler sampler(0x5EED, /*stream=*/3, table());
+    std::vector<float> x(1 << 15);
+    sampler.fill(x.data(), x.size(), /*sigma=*/1.0f);
+    expectGaussianShape(x, 1.0, "bulk sigma=1");
 }
 
-TEST(GaussianStatisticalTest, BulkSamplerNonUnitSigma)
+TEST_P(GaussianStatisticalTest, BulkSamplerNonUnitSigma)
 {
-    GaussianSampler sampler(0xABCDE, 0, GaussianKernel::Auto);
+    GaussianSampler sampler(0xABCDE, 0, table());
     std::vector<float> x(1 << 15);
     sampler.fill(x.data(), x.size(), /*sigma=*/2.5f);
     expectGaussianShape(x, 2.5, "bulk sigma=2.5");
 }
 
-TEST(NoiseProviderStatisticalTest, KeyedRowStreamMomentsAndKs)
+TEST_P(NoiseProviderStatisticalTest, KeyedRowStreamMomentsAndKs)
 {
     // Concatenate many (iteration, table, row) keyed streams: each must
     // be N(0, sigma^2) and independent across keys, so the pooled
     // sample is Gaussian too.
-    const NoiseProvider noise(0xD9);
+    const NoiseProvider noise(0xD9, table());
     const std::size_t dim = 64;
     const std::size_t rows = 512;
     std::vector<float> x(rows * dim);
@@ -130,12 +136,12 @@ TEST(NoiseProviderStatisticalTest, KeyedRowStreamMomentsAndKs)
     expectGaussianShape(x, 1.0, "keyed row streams");
 }
 
-TEST(NoiseProviderStatisticalTest, DistinctKeysAreUncorrelated)
+TEST_P(NoiseProviderStatisticalTest, DistinctKeysAreUncorrelated)
 {
     // Pearson correlation across keyed draws of adjacent rows and
     // adjacent iterations must vanish: draw order never leaks between
     // keys (the property the lazy/eager equivalence rests on).
-    const NoiseProvider noise(0xD9);
+    const NoiseProvider noise(0xD9, table());
     const std::size_t dim = 4096;
     std::vector<float> a(dim), b(dim), c(dim);
     noise.rowNoise(3, 0, 10, 1.0f, 1.0f, a.data(), dim, false);
@@ -163,12 +169,12 @@ TEST(NoiseProviderStatisticalTest, DistinctKeysAreUncorrelated)
     EXPECT_NEAR(corr(a, c), 0.0, 0.07) << "adjacent iterations";
 }
 
-TEST(NoiseProviderStatisticalTest, AggregatedDrawMatchesSumVariance)
+TEST_P(NoiseProviderStatisticalTest, AggregatedDrawMatchesSumVariance)
 {
     // ANS: one draw of N(0, k sigma^2) -- its pooled sample variance
     // over many keys must track k * sigma^2 (Theorem 5.1), the property
     // that keeps the deferred noise distributionally exact.
-    const NoiseProvider noise(0xD9);
+    const NoiseProvider noise(0xD9, table());
     const std::size_t dim = 64;
     const std::size_t rows = 512;
     const std::uint64_t k = 9;
@@ -181,6 +187,11 @@ TEST(NoiseProviderStatisticalTest, AggregatedDrawMatchesSumVariance)
     expectGaussianShape(x, std::sqrt(static_cast<double>(k)),
                         "aggregated k=9");
 }
+
+INSTANTIATE_TEST_SUITE_P(Kernels, GaussianStatisticalTest,
+                         allKernelBackends(), kernelBackendParamName);
+INSTANTIATE_TEST_SUITE_P(Kernels, NoiseProviderStatisticalTest,
+                         allKernelBackends(), kernelBackendParamName);
 
 } // namespace
 } // namespace lazydp

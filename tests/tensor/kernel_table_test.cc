@@ -1,5 +1,6 @@
 /**
- * @file Unit + property tests for the SIMD kernels.
+ * @file Unit + property tests for the active kernel table's
+ * element-wise primitives.
  *
  * Every kernel is checked against a plain scalar reference over
  * parameterized lengths, including lengths that exercise the vector
@@ -11,8 +12,8 @@
 #include <cmath>
 #include <vector>
 
+#include "kernels/kernel_registry.h"
 #include "rng/xoshiro.h"
-#include "tensor/simd_kernels.h"
 
 namespace lazydp {
 namespace {
@@ -27,54 +28,54 @@ randomVec(std::size_t n, std::uint64_t seed)
     return v;
 }
 
-class SimdLengthTest : public ::testing::TestWithParam<std::size_t>
+class KernelLengthTest : public ::testing::TestWithParam<std::size_t>
 {
 };
 
-TEST_P(SimdLengthTest, AxpyMatchesScalar)
+TEST_P(KernelLengthTest, AxpyMatchesScalar)
 {
     const std::size_t n = GetParam();
     auto x = randomVec(n, 1);
     auto y = randomVec(n, 2);
     auto y_ref = y;
-    simd::axpy(y.data(), x.data(), n, 0.75f);
+    kernels().axpy(y.data(), x.data(), n, 0.75f);
     for (std::size_t i = 0; i < n; ++i)
         EXPECT_NEAR(y[i], y_ref[i] + 0.75f * x[i], 1e-6f) << "i=" << i;
 }
 
-TEST_P(SimdLengthTest, AxpbyMatchesScalar)
+TEST_P(KernelLengthTest, AxpbyMatchesScalar)
 {
     const std::size_t n = GetParam();
     auto x = randomVec(n, 3);
     auto y = randomVec(n, 4);
     auto y_ref = y;
-    simd::axpby(y.data(), x.data(), n, 2.0f, -0.5f);
+    kernels().axpby(y.data(), x.data(), n, 2.0f, -0.5f);
     for (std::size_t i = 0; i < n; ++i)
         EXPECT_NEAR(y[i], 2.0f * x[i] - 0.5f * y_ref[i], 1e-5f);
 }
 
-TEST_P(SimdLengthTest, AddMatchesScalar)
+TEST_P(KernelLengthTest, AddMatchesScalar)
 {
     const std::size_t n = GetParam();
     auto a = randomVec(n, 5);
     auto b = randomVec(n, 6);
     std::vector<float> dst(n);
-    simd::add(dst.data(), a.data(), b.data(), n);
+    kernels().add(dst.data(), a.data(), b.data(), n);
     for (std::size_t i = 0; i < n; ++i)
         EXPECT_EQ(dst[i], a[i] + b[i]);
 }
 
-TEST_P(SimdLengthTest, ScaleMatchesScalar)
+TEST_P(KernelLengthTest, ScaleMatchesScalar)
 {
     const std::size_t n = GetParam();
     auto a = randomVec(n, 7);
     auto ref = a;
-    simd::scale(a.data(), n, 3.0f);
+    kernels().scale(a.data(), n, 3.0f);
     for (std::size_t i = 0; i < n; ++i)
         EXPECT_EQ(a[i], ref[i] * 3.0f);
 }
 
-TEST_P(SimdLengthTest, DotMatchesScalarReference)
+TEST_P(KernelLengthTest, DotMatchesScalarReference)
 {
     const std::size_t n = GetParam();
     auto a = randomVec(n, 8);
@@ -82,40 +83,40 @@ TEST_P(SimdLengthTest, DotMatchesScalarReference)
     double ref = 0.0;
     for (std::size_t i = 0; i < n; ++i)
         ref += static_cast<double>(a[i]) * b[i];
-    EXPECT_NEAR(simd::dot(a.data(), b.data(), n), ref,
+    EXPECT_NEAR(kernels().dot(a.data(), b.data(), n), ref,
                 1e-5 * (1.0 + std::abs(ref)));
 }
 
-TEST_P(SimdLengthTest, SquaredNormIsSelfDot)
+TEST_P(KernelLengthTest, SquaredNormIsSelfDot)
 {
     const std::size_t n = GetParam();
     auto a = randomVec(n, 10);
-    EXPECT_DOUBLE_EQ(simd::squaredNorm(a.data(), n),
-                     simd::dot(a.data(), a.data(), n));
+    EXPECT_DOUBLE_EQ(kernels().squaredNorm(a.data(), n),
+                     kernels().dot(a.data(), a.data(), n));
 }
 
-TEST_P(SimdLengthTest, ReluForwardClampsNegatives)
+TEST_P(KernelLengthTest, ReluForwardClampsNegatives)
 {
     const std::size_t n = GetParam();
     auto x = randomVec(n, 11);
     std::vector<float> y(n);
-    simd::reluForward(y.data(), x.data(), n);
+    kernels().reluForward(y.data(), x.data(), n);
     for (std::size_t i = 0; i < n; ++i)
         EXPECT_EQ(y[i], x[i] > 0.0f ? x[i] : 0.0f);
 }
 
-TEST_P(SimdLengthTest, ReluBackwardMasksByInputSign)
+TEST_P(KernelLengthTest, ReluBackwardMasksByInputSign)
 {
     const std::size_t n = GetParam();
     auto x = randomVec(n, 12);
     auto dy = randomVec(n, 13);
     std::vector<float> dx(n);
-    simd::reluBackward(dx.data(), x.data(), dy.data(), n);
+    kernels().reluBackward(dx.data(), x.data(), dy.data(), n);
     for (std::size_t i = 0; i < n; ++i)
         EXPECT_EQ(dx[i], x[i] > 0.0f ? dy[i] : 0.0f);
 }
 
-INSTANTIATE_TEST_SUITE_P(Lengths, SimdLengthTest,
+INSTANTIATE_TEST_SUITE_P(Lengths, KernelLengthTest,
                          ::testing::Values(0, 1, 7, 8, 9, 15, 16, 64, 100,
                                            1000, 4096));
 
@@ -123,14 +124,14 @@ TEST(StreamWithOpsTest, ReportsFlopCount)
 {
     std::vector<float> x(64, 1.0f);
     std::vector<float> y(64);
-    EXPECT_EQ(simd::streamWithOps(y.data(), x.data(), 64, 10), 640u);
+    EXPECT_EQ(kernels().streamWithOps(y.data(), x.data(), 64, 10), 640u);
 }
 
 TEST(StreamWithOpsTest, ZeroOpsCopies)
 {
     auto x = randomVec(100, 14);
     std::vector<float> y(100);
-    simd::streamWithOps(y.data(), x.data(), 100, 0);
+    kernels().streamWithOps(y.data(), x.data(), 100, 0);
     for (std::size_t i = 0; i < 100; ++i)
         EXPECT_EQ(y[i], x[i]);
 }
@@ -140,7 +141,7 @@ TEST(StreamWithOpsTest, ValuesStayFinite)
     // 124 chained ops must not overflow or denormalize (Figure 6 sweep)
     auto x = randomVec(256, 15);
     std::vector<float> y(256);
-    simd::streamWithOps(y.data(), x.data(), 256, 124);
+    kernels().streamWithOps(y.data(), x.data(), 256, 124);
     for (float v : y)
         EXPECT_TRUE(std::isfinite(v));
 }
@@ -150,7 +151,7 @@ TEST(StreamWithOpsTest, VectorAndScalarTailAgree)
     // length 17 exercises both the 8-wide path and the scalar tail
     auto x = randomVec(17, 16);
     std::vector<float> y(17);
-    simd::streamWithOps(y.data(), x.data(), 17, 6);
+    kernels().streamWithOps(y.data(), x.data(), 17, 6);
     // reference: scalar chain
     const float mul_c = 1.000001f;
     const float add_c = 1e-7f;
