@@ -5,7 +5,9 @@
  * This translation unit is compiled with `-mavx2 -mfma` regardless of
  * the project-wide LAZYDP_NATIVE setting (see CMakeLists.txt), so the
  * vector backend exists in portable builds and the choice is made at
- * RUNTIME from cpuid. Nothing in this file may be referenced unless
+ * RUNTIME from cpuid. It also keeps floating-point contraction
+ * (`-ffp-contract=fast`), which the rest of the build turns off so the
+ * scalar reference is the same function in every build. Nothing in this file may be referenced unless
  * avx2Table() returned non-null: every entry point is reached only
  * through the table, and the table is only handed out after the
  * cpuFeatures() probe confirmed AVX2+FMA.

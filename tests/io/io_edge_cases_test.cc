@@ -298,11 +298,9 @@ TEST_F(CheckpointEdgeTest, Avx2CheckpointResumesIntoScalarWithinTolerance)
     // below this bound; a dispatch or resume bug lands orders of
     // magnitude above it.
     EXPECT_LT(max_diff, 1e-3);
-    // max_diff == 0 is legitimate: under -march=native the compiler
-    // FMA-contracts the scalar TU, making it bit-identical to the
-    // AVX2 backend on FMA hosts -- so zero drift does NOT imply the
-    // AVX2 leg failed to dispatch. Dispatch itself is pinned by the
-    // registry tests; here we only bound the drift.
+    EXPECT_GT(max_diff, 0.0)
+        << "backends unexpectedly bit-identical: the AVX2 leg "
+           "probably did not dispatch";
 }
 
 } // namespace
