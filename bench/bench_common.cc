@@ -154,7 +154,7 @@ printPreamble(const std::string &figure, const std::string &what)
     std::printf("# rows marked 'measured' ran on this host;\n");
     std::printf("# rows marked 'modeled' extend the series to the\n");
     std::printf("# paper's table sizes via the calibrated roofline\n");
-    std::printf("# model (see DESIGN.md, Substitutions).\n");
+    std::printf("# model (see README, Scale note).\n");
     std::printf("# kernels: %s (--kernels / LAZYDP_KERNELS)\n",
                 kernelBackendName(activeKernelBackend()));
     std::printf("################################################\n");

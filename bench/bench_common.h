@@ -2,7 +2,7 @@
  * @file
  * Shared harness for the figure-reproduction benchmarks.
  *
- * Scale note (also see DESIGN.md): the paper's evaluation uses 24-192 GB
+ * Scale note (also see README "Scale note"): the paper's evaluation uses 24-192 GB
  * embedding tables on a 256 GB host; this repository runs on whatever
  * host executes it, so each figure measures *real* executions at sizes
  * scaled to fit local DRAM and extends the series to the paper's sizes

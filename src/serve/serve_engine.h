@@ -13,9 +13,9 @@
  *
  * Consistency contract: the snapshot is grabbed ONCE per micro-batch,
  * so every query in a batch is scored by the same fully-published
- * version, and the response carries that version id. Because the
- * store's readers are wait-free and the forward path is const over a
- * caller-owned workspace, serving never blocks training and training
+ * version, and the response carries that version id. Because a store
+ * read is one pointer copy under a short lock and the forward path is
+ * const over a caller-owned workspace, serving never blocks training and training
  * never tears a serve read (asserted under TSan by tests/serve).
  *
  * Threading: each worker is a dedicated ThreadPool lane

@@ -222,7 +222,7 @@ ModelSnapshotStore::publish(const DlrmModel &src, std::uint64_t iteration,
     // second retention path for old versions.
     std::shared_ptr<const ModelSnapshot> prev;
     if (delta)
-        prev = current_.load();
+        prev = current();
 
     std::unique_ptr<ModelSnapshot> shell = acquireShell(src);
     if (delta) {
@@ -249,8 +249,14 @@ ModelSnapshotStore::publish(const DlrmModel &src, std::uint64_t iteration,
             pool->retireSnapshot(std::unique_ptr<ModelSnapshot>(
                 const_cast<ModelSnapshot *>(s)));
         });
-    current_.store(snap);
-    version_.store(snap->version, std::memory_order_release);
+    const std::uint64_t published = snap->version;
+    {
+        // The version this replaces is released after the lock drops,
+        // so its recycling never runs inside a reader's wait.
+        std::lock_guard<std::mutex> lock(currentMu_);
+        current_.swap(snap);
+    }
+    version_.store(published, std::memory_order_release);
 
     receipt.seconds = wall.seconds();
     ++totals_.publishes;

@@ -9,18 +9,20 @@
  *
  *  - publish() (single writer: the training thread) deep-copies the
  *    current weights into a fresh (or recycled) ModelSnapshot and swaps
- *    it into an std::atomic<std::shared_ptr<const ModelSnapshot>>.
- *    Copy-on-publish means the training step never waits for readers.
- *  - current() (any number of readers: the serve lanes) atomically
- *    loads the shared_ptr. A reader holds its snapshot for as long as
- *    it wants; the weights it sees can never change underneath it, and
- *    a snapshot's memory is reclaimed only after the last reader drops
- *    it (shared_ptr refcount = the RCU grace period).
+ *    it into the store's current shared_ptr under a mutex that guards
+ *    nothing but that pointer. Copy-on-publish means the training step
+ *    never waits for readers beyond one pointer copy.
+ *  - current() (any number of readers: the serve lanes) copies the
+ *    shared_ptr under the same mutex. A reader holds its snapshot for
+ *    as long as it wants; the weights it sees can never change
+ *    underneath it, and a snapshot's memory is reclaimed only after
+ *    the last reader drops it (shared_ptr refcount = the RCU grace
+ *    period).
  *
  * Consistency contract: every snapshot a reader can obtain was
  * published by a completed publish() call -- there are no torn or
  * partially-copied states reachable through current(), because the
- * copy finishes before the atomic swap. Version numbers are dense
+ * copy finishes before the swap. Version numbers are dense
  * (1, 2, 3, ...) and strictly increasing; a reader comparing versions
  * can therefore detect both staleness and update frequency.
  *
@@ -69,15 +71,6 @@
 #include <vector>
 
 #include "nn/dlrm.h"
-
-// TSan-awareness: see SnapshotSlot below.
-#if defined(__SANITIZE_THREAD__)
-#define LAZYDP_TSAN_ACTIVE 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define LAZYDP_TSAN_ACTIVE 1
-#endif
-#endif
 
 namespace lazydp {
 
@@ -217,66 +210,20 @@ class SnapshotPool
 };
 
 /**
- * The store's atomic shared_ptr slot.
- *
- * Production builds use std::atomic<std::shared_ptr> -- libstdc++
- * implements it as a tagged-pointer spinlock, so readers never touch
- * an OS lock. Under ThreadSanitizer that implementation is a known
- * FALSE positive: _Sp_atomic guards its internal pointer handoff with
- * an atomic lock bit whose wait loop TSan cannot model as a
- * happens-before edge, so even a minimal store()/load() pair reports
- * a race (GCC 12, reproduced in isolation). TSan builds therefore
- * substitute a mutex around a plain shared_ptr -- identical
- * semantics and API, critical sections of a pointer copy only -- so
- * the REST of the serving path stays fully race-checked instead of
- * drowning in one library false positive.
- */
-class SnapshotSlot
-{
-  public:
-#if defined(LAZYDP_TSAN_ACTIVE)
-    std::shared_ptr<const ModelSnapshot>
-    load() const
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        return ptr_;
-    }
-
-    void
-    store(std::shared_ptr<const ModelSnapshot> next)
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        ptr_ = std::move(next);
-    }
-
-  private:
-    mutable std::mutex mu_;
-    std::shared_ptr<const ModelSnapshot> ptr_;
-#else
-    std::shared_ptr<const ModelSnapshot>
-    load() const
-    {
-        return ptr_.load();
-    }
-
-    void
-    store(std::shared_ptr<const ModelSnapshot> next)
-    {
-        ptr_.store(std::move(next));
-    }
-
-  private:
-    std::atomic<std::shared_ptr<const ModelSnapshot>> ptr_{nullptr};
-#endif
-};
-
-/**
  * Single-writer / multi-reader snapshot exchange (see file comment).
  *
  * Writer API (publish) must be called from one thread at a time -- in
  * this repository, the thread driving Trainer::run. Reader API
- * (current / version) is wait-free for the writer and safe from any
- * thread.
+ * (current / version) is safe from any thread; current() holds the
+ * store's mutex for one shared_ptr copy, so readers and the writer
+ * never wait on each other's copy or forward pass.
+ *
+ * The pointer is a mutex-guarded shared_ptr rather than
+ * std::atomic<std::shared_ptr>: libstdc++'s atomic version guards its
+ * handoff with a lock bit that ThreadSanitizer cannot model, so it
+ * reports a race on every store()/load() pair (GCC 12). A plain mutex
+ * lets the TSan build check the same primitive production runs; it is
+ * taken once per serve micro-batch and once per publish.
  */
 class ModelSnapshotStore
 {
@@ -327,7 +274,8 @@ class ModelSnapshotStore
     std::shared_ptr<const ModelSnapshot>
     current() const
     {
-        return current_.load();
+        std::lock_guard<std::mutex> lock(currentMu_);
+        return current_;
     }
 
     /** @return version of the latest completed publish (0 = none). */
@@ -353,7 +301,8 @@ class ModelSnapshotStore
 
     SnapshotOptions options_;
     std::shared_ptr<SnapshotPool> pool_;
-    SnapshotSlot current_;
+    mutable std::mutex currentMu_; //!< guards current_ only
+    std::shared_ptr<const ModelSnapshot> current_;
     std::atomic<std::uint64_t> version_{0};
     PublishTotals totals_; //!< writer-thread accounting
 };

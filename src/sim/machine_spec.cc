@@ -89,7 +89,7 @@ measureHost()
     }
 
     // Power figures stay at the paper-class defaults; this host has no
-    // power counters (pcm-power substitution, see DESIGN.md).
+    // power counters (pcm-power substitution, see README "Scale note").
     return spec;
 }
 
