@@ -2,13 +2,13 @@
  * @file
  * Shared harness for the figure-reproduction benchmarks.
  *
- * Scale note (also see README "Scale note"): the paper's evaluation uses 24-192 GB
- * embedding tables on a 256 GB host; this repository runs on whatever
- * host executes it, so each figure measures *real* executions at sizes
- * scaled to fit local DRAM and extends the series to the paper's sizes
- * with the calibrated roofline model (rows labelled `modeled`). Shapes
- * -- who wins, slopes, crossovers -- are preserved; absolute numbers
- * are host-specific.
+ * Scale note (also see README "Scale note"): the paper's evaluation
+ * uses 24-192 GB embedding tables on a 256 GB host; this repository
+ * runs on whatever host executes it, so each figure measures *real*
+ * executions at sizes scaled to fit local DRAM and extends the series
+ * to the paper's sizes with the calibrated roofline model (rows
+ * labelled `modeled`). Shapes -- who wins, slopes, crossovers -- are
+ * preserved; absolute numbers are host-specific.
  */
 
 #ifndef LAZYDP_BENCH_BENCH_COMMON_H

@@ -4,9 +4,9 @@
  * DP-SGD(F) across batch sizes, normalized to SGD at batch 2048.
  *
  * Energy = sum over stages of stage_time x stage_power (pcm-power
- * substitution; see README "Scale note"). Expected shape: LazyDP within ~2-3x of
- * SGD, DP-SGD(F) two orders of magnitude higher -- energy follows time
- * because power varies far less than latency.
+ * substitution; see README "Scale note"). Expected shape: LazyDP
+ * within ~2-3x of SGD, DP-SGD(F) two orders of magnitude higher --
+ * energy follows time because power varies far less than latency.
  */
 
 #include <cstdio>

@@ -7,10 +7,10 @@
  * vector backend exists in portable builds and the choice is made at
  * RUNTIME from cpuid. It also keeps floating-point contraction
  * (`-ffp-contract=fast`), which the rest of the build turns off so the
- * scalar reference is the same function in every build. Nothing in this file may be referenced unless
- * avx2Table() returned non-null: every entry point is reached only
- * through the table, and the table is only handed out after the
- * cpuFeatures() probe confirmed AVX2+FMA.
+ * scalar reference is the same function in every build. Nothing in
+ * this file may be referenced unless avx2Table() returned non-null:
+ * every entry point is reached only through the table, and the table
+ * is only handed out after the cpuFeatures() probe confirmed AVX2+FMA.
  *
  * Keep includes minimal: headers with nontrivial inline functions
  * would be compiled with AVX2 codegen here and could be picked by the

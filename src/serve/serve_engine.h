@@ -15,8 +15,9 @@
  * so every query in a batch is scored by the same fully-published
  * version, and the response carries that version id. Because a store
  * read is one pointer copy under a short lock and the forward path is
- * const over a caller-owned workspace, serving never blocks training and training
- * never tears a serve read (asserted under TSan by tests/serve).
+ * const over a caller-owned workspace, serving never blocks training
+ * and training never tears a serve read (asserted under TSan by
+ * tests/serve).
  *
  * Threading: each worker is a dedicated ThreadPool lane
  * (ThreadPool::submitLane), the same primitive the Trainer uses for
