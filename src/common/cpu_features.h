@@ -2,8 +2,11 @@
  * @file
  * Host CPU feature detection (AVX2 / AVX-512F / FMA).
  *
- * The SIMD noise kernels select a code path at startup based on these
- * flags; tests use them to skip ISA-specific cases on older hosts.
+ * The kernel registry selects its backend at startup from these flags;
+ * tests use them to skip ISA-specific cases on older hosts. A flag is
+ * set only when the CPU reports the instructions (cpuid) AND the OS
+ * saves the register state they need (xgetbv), so a set flag means the
+ * instructions can actually run.
  */
 
 #ifndef LAZYDP_COMMON_CPU_FEATURES_H
@@ -15,8 +18,8 @@ namespace lazydp {
 struct CpuFeatures
 {
     bool avx2 = false;    //!< AVX2 (256-bit integer + FP)
-    bool avx512f = false; //!< AVX-512 Foundation
-    bool fma = false;     //!< fused multiply-add
+    bool avx512f = false; //!< AVX-512 Foundation (zmm + opmask state)
+    bool fma = false;     //!< fused multiply-add (ymm state)
 };
 
 /** @return cached feature flags of this host (queried once via cpuid). */

@@ -13,24 +13,6 @@ namespace {
 
 std::atomic<const KernelTable *> g_active{nullptr};
 
-/** Resolve Auto against this build + CPU. */
-const KernelTable *
-resolveTable(KernelBackend b)
-{
-    using namespace kernels_detail;
-    switch (b) {
-      case KernelBackend::Avx2:
-        return avx2Table(); // may be null: caller handles the fallback
-      case KernelBackend::Scalar:
-        return &scalarTable();
-      case KernelBackend::Auto:
-      default: {
-        const KernelTable *avx2 = avx2Table();
-        return avx2 != nullptr ? avx2 : &scalarTable();
-      }
-    }
-}
-
 /** One-time startup selection from LAZYDP_KERNELS (default auto). */
 const KernelTable *
 initialTable()
@@ -39,20 +21,48 @@ initialTable()
     if (const char *env = std::getenv("LAZYDP_KERNELS")) {
         if (!parseKernelBackend(env, requested)) {
             warn("LAZYDP_KERNELS='", env,
-                 "' is not scalar|avx2|auto; using auto");
+                 "' is not scalar|avx2|avx512|auto; using auto");
             requested = KernelBackend::Auto;
         }
     }
-    const KernelTable *t = resolveTable(requested);
-    if (t == nullptr) {
-        warn("kernel backend '", kernelBackendName(requested),
-             "' unavailable on this host; falling back to scalar");
-        t = &kernels_detail::scalarTable();
-    }
-    return t;
+    return &kernels_detail::selectTable(requested, cpuFeatures());
 }
 
 } // namespace
+
+namespace kernels_detail {
+
+const KernelTable *
+resolveTable(KernelBackend b, const CpuFeatures &cpu)
+{
+    switch (b) {
+      case KernelBackend::Avx512:
+        return avx512Table(cpu); // may be null: selectTable falls back
+      case KernelBackend::Avx2:
+        return avx2Table(cpu);
+      case KernelBackend::Scalar:
+        return &scalarTable();
+      case KernelBackend::Auto:
+      default:
+        if (const KernelTable *t = avx512Table(cpu))
+            return t;
+        if (const KernelTable *t = avx2Table(cpu))
+            return t;
+        return &scalarTable();
+    }
+}
+
+const KernelTable &
+selectTable(KernelBackend b, const CpuFeatures &cpu)
+{
+    if (const KernelTable *t = resolveTable(b, cpu))
+        return *t;
+    warn("kernel backend '", kernelBackendName(b),
+         "' unavailable on this host; falling back to scalar");
+    return scalarTable();
+}
+
+} // namespace kernels_detail
 
 bool
 parseKernelBackend(const std::string &s, KernelBackend &out)
@@ -69,6 +79,10 @@ parseKernelBackend(const std::string &s, KernelBackend &out)
         out = KernelBackend::Avx2;
         return true;
     }
+    if (s == "avx512") {
+        out = KernelBackend::Avx512;
+        return true;
+    }
     return false;
 }
 
@@ -80,6 +94,8 @@ kernelBackendName(KernelBackend b)
         return "scalar";
       case KernelBackend::Avx2:
         return "avx2";
+      case KernelBackend::Avx512:
+        return "avx512";
       case KernelBackend::Auto:
       default:
         return "auto";
@@ -89,19 +105,14 @@ kernelBackendName(KernelBackend b)
 bool
 kernelBackendAvailable(KernelBackend b)
 {
-    return resolveTable(b) != nullptr;
+    return kernelTable(b) != nullptr;
 }
 
 void
 setKernelBackend(KernelBackend b)
 {
-    const KernelTable *t = resolveTable(b);
-    if (t == nullptr) {
-        warn("kernel backend '", kernelBackendName(b),
-             "' unavailable on this host; falling back to scalar");
-        t = &kernels_detail::scalarTable();
-    }
-    g_active.store(t, std::memory_order_release);
+    g_active.store(&kernels_detail::selectTable(b, cpuFeatures()),
+                   std::memory_order_release);
 }
 
 KernelBackend
@@ -129,7 +140,7 @@ kernels()
 const KernelTable *
 kernelTable(KernelBackend b)
 {
-    return resolveTable(b);
+    return kernels_detail::resolveTable(b, cpuFeatures());
 }
 
 } // namespace lazydp

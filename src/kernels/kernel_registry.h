@@ -3,22 +3,24 @@
  * Runtime-dispatched SIMD kernel registry for the DP hot loops.
  *
  * Every data-streaming primitive the training loop leans on — the MLP
- * GEMM row kernel, the fused square-accumulate behind per-example
- * gradient norms, the scale-and-add of clipped gradient accumulation,
- * the keyed-Philox Box-Muller fill, and the embedding pooling/scatter
- * kernels — exists in two implementations:
+ * and dot-interaction GEMM, the fused square-accumulate behind
+ * per-example gradient norms, the scale-and-add of clipped gradient
+ * accumulation, the keyed-Philox Box-Muller fill, and the embedding
+ * pooling/scatter kernels — exists as one table per backend:
  *
- *  - a **scalar** reference, plain C++ loops compiled for the baseline
- *    ISA, and
- *  - an **AVX2 (+FMA)** variant, compiled in its own translation unit
- *    with `-mavx2 -mfma` so it exists even in portable
- *    (`-DLAZYDP_NATIVE=OFF`) builds and is selected at RUNTIME.
+ *  - **scalar**: the reference, plain C++ loops compiled for the
+ *    baseline ISA;
+ *  - **avx2**: AVX2+FMA variants, compiled in their own translation
+ *    unit with `-mavx2 -mfma` so they exist even in portable
+ *    (`-DLAZYDP_NATIVE=OFF`) builds and are selected at RUNTIME;
+ *  - **avx512**: the avx2 table with the GEMM entry replaced by an
+ *    AVX-512F register tile (its own `-mavx512f` translation unit).
  *
  * One backend is active per process, chosen at startup from (highest
- * priority first) the `--kernels=scalar|avx2|auto` flag of the tools
- * and benches, the `LAZYDP_KERNELS` environment variable, or `auto`
- * (AVX2 whenever the executing CPU supports AVX2+FMA, per the
- * common/cpu_features cpuid probe).
+ * priority first) the `--kernels=scalar|avx2|avx512|auto` flag of the
+ * tools and benches, the `LAZYDP_KERNELS` environment variable, or
+ * `auto` (the widest backend the executing CPU and OS support, per the
+ * common/cpu_features cpuid/xgetbv probe).
  *
  * Determinism contract:
  *
@@ -27,10 +29,15 @@
  *    partial), and block boundaries depend on the problem size only —
  *    never on the ISA vector width, the thread count, or alignment.
  *    The threads/pipeline/replicas bit-identity matrices therefore
- *    hold under either backend.
+ *    hold under every backend.
+ *  - The GEMM is bit-exact across backends: each output element is one
+ *    fp32 FMA chain over k in ascending order, starting from 0 (or
+ *    from C when accumulating). Tile sizes, row/column splits and the
+ *    thread count never change that order, so a row's result does not
+ *    depend on how many rows share the call.
  *  - Across kernel choices, element-wise kernels without FMA
- *    opportunities (fill/add/scale/relu/pool) are bit-identical;
- *    FMA-bearing kernels (axpy/axpby/scatter/gemv) and the blocked
+ *    opportunities (fill/add/scale/relu/pool) are bit-identical too;
+ *    FMA-bearing kernels (axpy/axpby/scatter) and the blocked
  *    reductions agree within a few ULP; the Box-Muller fill agrees
  *    within |diff| < 1e-5 * sigma per sample (polynomial vs libm
  *    transcendentals). The kernel-parity suite (tests/kernels/) pins
@@ -54,9 +61,10 @@ class Philox4x32;
 /** Which kernel implementation set to dispatch to. */
 enum class KernelBackend
 {
-    Auto,   //!< resolve to Avx2 when available, else Scalar
+    Auto,   //!< resolve to the widest available backend
     Scalar, //!< portable reference implementations (the golden path)
-    Avx2    //!< AVX2+FMA vector implementations
+    Avx2,   //!< AVX2+FMA vector implementations
+    Avx512  //!< Avx2 with an AVX-512F GEMM tile
 };
 
 /**
@@ -74,7 +82,7 @@ constexpr std::size_t kReduceBlock = 64;
 struct KernelTable
 {
     KernelBackend backend; //!< concrete backend (never Auto)
-    const char *name;      //!< "scalar" / "avx2"
+    const char *name;      //!< "scalar" / "avx2" / "avx512"
 
     /** dst[i] = v */
     void (*fill)(float *dst, std::size_t n, float v);
@@ -99,12 +107,20 @@ struct KernelTable
                          std::size_t n);
 
     /**
-     * GEMV row kernel of C = A * B^T: crow[j] (+)= dot(arow, b_j) for
-     * j in [0, n), where b_j = b + j*k is row j of the (n x k) matrix
-     * B. One call computes one output row of the MLP GEMMs.
+     * Strided GEMM: C (m x n) = A (m x k) * B (k x n), or C += A * B
+     * when @p accumulate, with
+     *   A(i, p) = a[i*a_rs + p*a_ks], B(p, j) = b[p*b_ks + j*b_js],
+     *   C(i, j) = c[i*ldc + j].
+     * Each C(i, j) is one fp32 FMA chain over p = 0, 1, ..., k-1,
+     * starting from 0 (or from C), identical in every backend. The
+     * vector backends stream B directly when b_js == 1 (C = A*B and
+     * C = A^T*B) and transpose it one cache-sized block at a time when
+     * b_ks == 1 (C = A*B^T); any other stride runs the scalar loop.
      */
-    void (*gemvDotRow)(const float *arow, const float *b, float *crow,
-                       std::size_t n, std::size_t k, bool accumulate);
+    void (*gemm)(std::size_t m, std::size_t n, std::size_t k,
+                 const float *a, std::size_t a_rs, std::size_t a_ks,
+                 const float *b, std::size_t b_ks, std::size_t b_js,
+                 float *c, std::size_t ldc, bool accumulate);
 
     /**
      * Embedding sum-pooling: dst[j] = sum_i table[rows[i]*dim + j]
@@ -144,23 +160,24 @@ struct KernelTable
 };
 
 /**
- * Parse a backend name ("scalar", "avx2", "auto"; case-sensitive).
+ * Parse a backend name ("scalar", "avx2", "avx512", "auto";
+ * case-sensitive).
  * @return true on success (out untouched on failure).
  */
 bool parseKernelBackend(const std::string &s, KernelBackend &out);
 
-/** @return canonical name of a backend ("auto"/"scalar"/"avx2"). */
+/** @return canonical name ("auto"/"scalar"/"avx2"/"avx512"). */
 const char *kernelBackendName(KernelBackend b);
 
 /** @return true if @p b can execute on this build + CPU. */
 bool kernelBackendAvailable(KernelBackend b);
 
 /**
- * Select the process-wide active backend. Auto resolves to Avx2 when
- * available, else Scalar; an explicit request for an unavailable
- * backend warns and falls back to Scalar (so a forced
- * LAZYDP_KERNELS=avx2 CI matrix leg degrades gracefully on old
- * hardware instead of crashing).
+ * Select the process-wide active backend. Auto resolves to Avx512,
+ * else Avx2, else Scalar, whichever is first available; an explicit
+ * request for an unavailable backend warns and falls back to Scalar
+ * (so a forced LAZYDP_KERNELS=avx2 or avx512 CI matrix leg degrades
+ * gracefully on old hardware instead of crashing).
  *
  * Call BEFORE constructing engines: elementwise/reduction kernels
  * follow the new table immediately, but a NoiseProvider or

@@ -10,7 +10,7 @@
  * scalar reference is the same function in every build. Nothing in
  * this file may be referenced unless avx2Table() returned non-null:
  * every entry point is reached only through the table, and the table
- * is only handed out after the cpuFeatures() probe confirmed AVX2+FMA.
+ * is only handed out when the CPU features show AVX2+FMA.
  *
  * Keep includes minimal: headers with nontrivial inline functions
  * would be compiled with AVX2 codegen here and could be picked by the
@@ -19,7 +19,9 @@
  * Reductions share the scalar backend's kReduceBlock blocking: each
  * 64-element block collapses to one double partial, partials added in
  * block order, so the only cross-backend difference is rounding inside
- * a block (the parity suite pins it to ~1e-12 relative).
+ * a block (the parity suite pins it to ~1e-12 relative). The GEMM is
+ * gemm_tile.h over 256-bit traits and matches the scalar reference
+ * bit for bit.
  */
 
 #include "kernels/kernels_internal.h"
@@ -29,7 +31,7 @@
 #include <algorithm>
 #include <immintrin.h>
 
-#include "common/cpu_features.h"
+#include "kernels/gemm_tile.h"
 #include "rng/avx_math.h"
 #include "rng/philox.h"
 
@@ -37,6 +39,47 @@ namespace lazydp {
 namespace kernels_detail {
 
 namespace {
+
+/** 256-bit traits for gemm_tile.h: 6 x 16 tiles, 256-deep k-blocks. */
+struct Avx2Vec
+{
+    using Reg = __m256;
+    using Mask = __m256i;
+    static constexpr std::size_t kWidth = 8;
+    static constexpr int kMr = 6; // 12 accumulators + 2 B + 1 A of 16
+    static constexpr std::size_t kKc = 256;
+
+    static Reg zero() { return _mm256_setzero_ps(); }
+    static Reg load(const float *p) { return _mm256_loadu_ps(p); }
+    static Reg maskLoad(const float *p, Mask m)
+    {
+        return _mm256_maskload_ps(p, m);
+    }
+    static void store(float *p, Reg v) { _mm256_storeu_ps(p, v); }
+    static void maskStore(float *p, Mask m, Reg v)
+    {
+        _mm256_maskstore_ps(p, m, v);
+    }
+    static Reg bcast(const float *p) { return _mm256_broadcast_ss(p); }
+    static Reg fma(Reg a, Reg b, Reg c) { return _mm256_fmadd_ps(a, b, c); }
+    /** @return lanes [0, n) set, n <= 8. */
+    static Mask mask(std::size_t n)
+    {
+        return _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(static_cast<int>(n)),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    }
+};
+
+void
+gemmAvx2(std::size_t m, std::size_t n, std::size_t k, const float *a,
+         std::size_t a_rs, std::size_t a_ks, const float *b,
+         std::size_t b_ks, std::size_t b_js, float *c, std::size_t ldc,
+         bool accumulate)
+{
+    gemmTiled<Avx2Vec>(m, n, k, a, a_rs, a_ks, b, b_ks, b_js, c, ldc,
+                       accumulate);
+}
 
 void
 fillAvx2(float *dst, std::size_t n, float v)
@@ -181,74 +224,6 @@ reluBackwardAvx2(float *dx, const float *x, const float *dy,
     }
     for (; i < n; ++i)
         dx[i] = x[i] > 0.0f ? dy[i] : 0.0f;
-}
-
-void
-gemvDotRowAvx2(const float *arow, const float *b, float *crow,
-               std::size_t n, std::size_t k, bool accumulate)
-{
-    // Two output columns per pass share the arow loads; accumulation
-    // stays per-column blocked so each crow[j] equals dotAvx2(arow, b_j)
-    // exactly (the parity suite compares against the scalar reference).
-    std::size_t j = 0;
-    for (; j + 2 <= n; j += 2) {
-        const float *b0 = b + j * k;
-        const float *b1 = b0 + k;
-        double t0 = 0.0, t1 = 0.0;
-        for (std::size_t base = 0; base < k; base += kReduceBlock) {
-            const std::size_t lim = std::min(k, base + kReduceBlock);
-            const std::size_t len = lim - base;
-            std::size_t i = 0;
-            __m256d a00 = _mm256_setzero_pd();
-            __m256d a01 = _mm256_setzero_pd();
-            __m256d a10 = _mm256_setzero_pd();
-            __m256d a11 = _mm256_setzero_pd();
-            const float *ap = arow + base;
-            const float *bp0 = b0 + base;
-            const float *bp1 = b1 + base;
-            for (; i + 8 <= len; i += 8) {
-                const __m256 va = _mm256_loadu_ps(ap + i);
-                const __m256 v0 = _mm256_loadu_ps(bp0 + i);
-                const __m256 v1 = _mm256_loadu_ps(bp1 + i);
-                const __m256d alo =
-                    _mm256_cvtps_pd(_mm256_castps256_ps128(va));
-                const __m256d ahi =
-                    _mm256_cvtps_pd(_mm256_extractf128_ps(va, 1));
-                a00 = _mm256_fmadd_pd(
-                    alo, _mm256_cvtps_pd(_mm256_castps256_ps128(v0)),
-                    a00);
-                a01 = _mm256_fmadd_pd(
-                    ahi, _mm256_cvtps_pd(_mm256_extractf128_ps(v0, 1)),
-                    a01);
-                a10 = _mm256_fmadd_pd(
-                    alo, _mm256_cvtps_pd(_mm256_castps256_ps128(v1)),
-                    a10);
-                a11 = _mm256_fmadd_pd(
-                    ahi, _mm256_cvtps_pd(_mm256_extractf128_ps(v1, 1)),
-                    a11);
-            }
-            alignas(32) double t[4];
-            _mm256_store_pd(t, _mm256_add_pd(a00, a01));
-            double blk0 = t[0] + t[1] + t[2] + t[3];
-            _mm256_store_pd(t, _mm256_add_pd(a10, a11));
-            double blk1 = t[0] + t[1] + t[2] + t[3];
-            for (; i < len; ++i) {
-                const double av = ap[i];
-                blk0 += av * static_cast<double>(bp0[i]);
-                blk1 += av * static_cast<double>(bp1[i]);
-            }
-            t0 += blk0;
-            t1 += blk1;
-        }
-        const float f0 = static_cast<float>(t0);
-        const float f1 = static_cast<float>(t1);
-        crow[j] = accumulate ? crow[j] + f0 : f0;
-        crow[j + 1] = accumulate ? crow[j + 1] + f1 : f1;
-    }
-    for (; j < n; ++j) {
-        const float v = static_cast<float>(dotAvx2(arow, b + j * k, k));
-        crow[j] = accumulate ? crow[j] + v : v;
-    }
 }
 
 void
@@ -474,9 +449,9 @@ gaussianFillKeyedAvx2(const Philox4x32 &philox, std::uint64_t ctr_hi,
 } // namespace
 
 const KernelTable *
-avx2Table()
+avx2Table(const CpuFeatures &cpu)
 {
-    if (!cpuFeatures().avx2 || !cpuFeatures().fma)
+    if (!cpu.avx2 || !cpu.fma)
         return nullptr;
     static const KernelTable table = {
         KernelBackend::Avx2,
@@ -490,7 +465,7 @@ avx2Table()
         squaredNormAvx2,
         reluForwardAvx2,
         reluBackwardAvx2,
-        gemvDotRowAvx2,
+        gemmAvx2,
         poolRowsAvx2,
         scatterAxpyRowsAvx2,
         streamWithOpsAvx2,
@@ -509,7 +484,7 @@ namespace kernels_detail {
 
 // Compiler without AVX2 support: the backend simply does not exist.
 const KernelTable *
-avx2Table()
+avx2Table(const CpuFeatures &)
 {
     return nullptr;
 }

@@ -3,9 +3,10 @@
  * Scalar reference implementations of every registry primitive.
  *
  * These are the golden path: plain loops, no intrinsics, fixed-width
- * blocked reductions (kReduceBlock elements per double partial). The
- * golden-model regression hashes and all cross-backend parity
- * tolerances are anchored to the outputs of this file.
+ * blocked reductions (kReduceBlock elements per double partial), and a
+ * GEMM built from std::fma chains. The golden-model regression hashes
+ * and all cross-backend parity tolerances are anchored to the outputs
+ * of this file.
  */
 
 #include <algorithm>
@@ -97,16 +98,6 @@ reluBackwardScalar(float *dx, const float *x, const float *dy,
 }
 
 void
-gemvDotRowScalar(const float *arow, const float *b, float *crow,
-                 std::size_t n, std::size_t k, bool accumulate)
-{
-    for (std::size_t j = 0; j < n; ++j) {
-        const float v = static_cast<float>(dotScalar(arow, b + j * k, k));
-        crow[j] = accumulate ? crow[j] + v : v;
-    }
-}
-
-void
 poolRowsScalar(float *dst, const float *table, const std::uint32_t *rows,
                std::size_t count, std::size_t dim)
 {
@@ -178,6 +169,28 @@ blockToGaussians(const Philox4x32::Block &blk, float sigma, float out[4])
 
 } // namespace
 
+// i-p-j order: row i of C is the running state of n independent FMA
+// chains, each advanced once per p in ascending order -- the chain the
+// vector tiles reproduce bit for bit.
+void
+gemmScalar(std::size_t m, std::size_t n, std::size_t k, const float *a,
+           std::size_t a_rs, std::size_t a_ks, const float *b,
+           std::size_t b_ks, std::size_t b_js, float *c, std::size_t ldc,
+           bool accumulate)
+{
+    for (std::size_t i = 0; i < m; ++i) {
+        float *crow = c + i * ldc;
+        if (!accumulate)
+            std::fill(crow, crow + n, 0.0f);
+        for (std::size_t p = 0; p < k; ++p) {
+            const float av = a[i * a_rs + p * a_ks];
+            const float *bp = b + p * b_ks;
+            for (std::size_t j = 0; j < n; ++j)
+                crow[j] = std::fma(av, bp[j * b_js], crow[j]);
+        }
+    }
+}
+
 void
 gaussianFillKeyedScalar(const Philox4x32 &philox, std::uint64_t ctr_hi,
                         std::uint64_t lo_base, float *dst, std::size_t dim,
@@ -211,7 +224,7 @@ scalarTable()
         squaredNormScalar,
         reluForwardScalar,
         reluBackwardScalar,
-        gemvDotRowScalar,
+        gemmScalar,
         poolRowsScalar,
         scatterAxpyRowsScalar,
         streamWithOpsScalar,

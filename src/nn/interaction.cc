@@ -1,6 +1,7 @@
 #include "nn/interaction.h"
 
 #include <cstring>
+#include <vector>
 
 #include "common/macros.h"
 #include "kernels/kernel_registry.h"
@@ -42,27 +43,30 @@ DotInteraction::forwardInto(const std::vector<const Tensor *> &inputs,
 
     if (cache.rows() != batch || cache.cols() != numInputs_ * dim_)
         cache.resize(batch, numInputs_ * dim_);
-    for (std::size_t i = 0; i < numInputs_; ++i) {
-        for (std::size_t e = 0; e < batch; ++e) {
-            std::memcpy(cache.data() + (e * numInputs_ + i) * dim_,
-                        inputs[i]->data() + e * dim_,
-                        dim_ * sizeof(float));
-        }
-    }
 
     const KernelTable &kt = kernels();
+    const std::size_t ni = numInputs_;
+    const std::size_t d = dim_;
+    const std::size_t od = outputDim();
     parallelFor(exec, batch, [&](std::size_t lo, std::size_t hi) {
+        std::vector<float> gram(ni * ni);
         for (std::size_t e = lo; e < hi; ++e) {
-            float *dst = out.data() + e * outputDim();
-            const float *feats = cache.data() + e * numInputs_ * dim_;
+            float *feats = cache.data() + e * ni * d;
+            for (std::size_t i = 0; i < ni; ++i) {
+                std::memcpy(feats + i * d, inputs[i]->data() + e * d,
+                            d * sizeof(float));
+            }
+            // Gram matrix Z Z^T of this example's (ni x d) feature rows;
+            // its last row holds no pair (i < j), so it is skipped.
+            kt.gemm(ni - 1, ni, d, feats, d, 1, feats, 1, d, gram.data(),
+                    ni, false);
+            float *dst = out.data() + e * od;
             // pass-through of the dense (bottom MLP) vector
-            std::memcpy(dst, feats, dim_ * sizeof(float));
-            std::size_t k = dim_;
-            for (std::size_t i = 0; i < numInputs_; ++i) {
-                for (std::size_t j = i + 1; j < numInputs_; ++j) {
-                    dst[k++] = static_cast<float>(kt.dot(
-                        feats + i * dim_, feats + j * dim_, dim_));
-                }
+            std::memcpy(dst, feats, d * sizeof(float));
+            std::size_t k = d;
+            for (std::size_t i = 0; i < ni; ++i) {
+                for (std::size_t j = i + 1; j < ni; ++j)
+                    dst[k++] = gram[i * ni + j];
             }
         }
     });
@@ -90,29 +94,35 @@ DotInteraction::backwardFrom(const Tensor &d_out,
     for (Tensor *t : d_inputs) {
         LAZYDP_ASSERT(t->rows() == batch && t->cols() == dim_,
                       "interaction d_input shape");
-        t->zero();
     }
 
     const KernelTable &kt = kernels();
+    const std::size_t ni = numInputs_;
+    const std::size_t d = dim_;
+    const std::size_t od = outputDim();
     parallelFor(exec, batch, [&](std::size_t lo, std::size_t hi) {
+        std::vector<float> pair_grad(ni * ni);
+        std::vector<float> d_feats(ni * d);
         for (std::size_t e = lo; e < hi; ++e) {
-            const float *g = d_out.data() + e * outputDim();
-            const float *feats = cache.data() + e * numInputs_ * dim_;
-            // pass-through gradient into input 0
-            kt.add(d_inputs[0]->data() + e * dim_,
-                   d_inputs[0]->data() + e * dim_, g, dim_);
-            std::size_t k = dim_;
-            for (std::size_t i = 0; i < numInputs_; ++i) {
-                for (std::size_t j = i + 1; j < numInputs_; ++j) {
-                    const float gk = g[k++];
-                    if (gk == 0.0f)
-                        continue;
-                    // d z_i += g * z_j ; d z_j += g * z_i
-                    kt.axpy(d_inputs[i]->data() + e * dim_,
-                            feats + j * dim_, dim_, gk);
-                    kt.axpy(d_inputs[j]->data() + e * dim_,
-                            feats + i * dim_, dim_, gk);
+            const float *g = d_out.data() + e * od;
+            const float *feats = cache.data() + e * ni * d;
+            // Symmetric G with G(i, j) = G(j, i) = dL/d(z_i . z_j) and a
+            // zero diagonal, so d z_i = sum_j G(i, j) z_j: dZ = G Z.
+            std::size_t k = d;
+            for (std::size_t i = 0; i < ni; ++i) {
+                pair_grad[i * ni + i] = 0.0f;
+                for (std::size_t j = i + 1; j < ni; ++j) {
+                    pair_grad[i * ni + j] = g[k];
+                    pair_grad[j * ni + i] = g[k++];
                 }
+            }
+            kt.gemm(ni, d, ni, pair_grad.data(), ni, 1, feats, d, 1,
+                    d_feats.data(), d, false);
+            // plus the pass-through gradient into input 0
+            kt.add(d_inputs[0]->data() + e * d, d_feats.data(), g, d);
+            for (std::size_t i = 1; i < ni; ++i) {
+                std::memcpy(d_inputs[i]->data() + e * d,
+                            d_feats.data() + i * d, d * sizeof(float));
             }
         }
     });

@@ -77,7 +77,7 @@ LinearLayer::forwardInto(const Tensor &x, Tensor &y, Tensor &x_cache,
         x_cache.resize(x.rows(), x.cols());
     x_cache.copyFrom(x);
     matmulABt(x, w_, y, false, exec);
-    addRowBias(y, b_);
+    addRowBias(y, b_, exec);
 }
 
 void
@@ -111,7 +111,7 @@ LinearLayer::backwardFrom(const Tensor &d_y, const Tensor &x_cache,
     LAZYDP_ASSERT(b_grad != nullptr, "weight/bias grads travel together");
     // dW = dY^T X, db = column sums of dY
     matmulAtB(d_y, x_cache, *w_grad, false, exec);
-    reduceRows(d_y, *b_grad);
+    reduceRows(d_y, *b_grad, exec);
 }
 
 void

@@ -3,9 +3,11 @@
 #include "common/macros.h"
 #include "kernels/kernel_registry.h"
 
-// The DLRM GEMMs are embarrassingly parallel across output rows; each
-// row's accumulation stays within one thread, so the results are
-// bit-identical at any thread count (only the row partition changes).
+// Every GEMM here is one KernelTable::gemm call per row chunk of C.
+// Each C element is one fp32 FMA chain over k in ascending order
+// inside the kernel, so the row partition (and so the thread count)
+// never changes a result, and neither does the number of rows: a row
+// computed alone equals the same row computed in a batch.
 
 namespace lazydp {
 
@@ -21,10 +23,9 @@ matmulABt(const Tensor &a, const Tensor &b, Tensor &c, bool accumulate,
 
     const KernelTable &kt = kernels();
     parallelFor(exec, m, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            kt.gemvDotRow(a.data() + i * k, b.data(), c.data() + i * n,
-                          n, k, accumulate);
-        }
+        // B(p, j) = b[j*k + p]: the kernel's transposed-B layout.
+        kt.gemm(hi - lo, n, k, a.data() + lo * k, k, 1, b.data(), 1, k,
+                c.data() + lo * n, n, accumulate);
     });
 }
 
@@ -38,22 +39,10 @@ matmulAB(const Tensor &a, const Tensor &b, Tensor &c, bool accumulate,
     LAZYDP_ASSERT(b.rows() == k, "matmulAB inner-dim mismatch");
     LAZYDP_ASSERT(c.rows() == m && c.cols() == n, "matmulAB out shape");
 
-    if (!accumulate)
-        c.zero();
     const KernelTable &kt = kernels();
-    // i-k-j loop order: the inner loop is an axpy over contiguous rows
-    // of B and C, which vectorizes well; rows of C are independent.
     parallelFor(exec, m, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            float *crow = c.data() + i * n;
-            const float *arow = a.data() + i * k;
-            for (std::size_t kk = 0; kk < k; ++kk) {
-                const float av = arow[kk];
-                if (av == 0.0f)
-                    continue;
-                kt.axpy(crow, b.data() + kk * n, n, av);
-            }
-        }
+        kt.gemm(hi - lo, n, k, a.data() + lo * k, k, 1, b.data(), n, 1,
+                c.data() + lo * n, n, accumulate);
     });
 }
 
@@ -67,45 +56,43 @@ matmulAtB(const Tensor &a, const Tensor &b, Tensor &c, bool accumulate,
     LAZYDP_ASSERT(b.rows() == k, "matmulAtB inner-dim mismatch");
     LAZYDP_ASSERT(c.rows() == m && c.cols() == n, "matmulAtB out shape");
 
-    if (!accumulate)
-        c.zero();
     const KernelTable &kt = kernels();
-    // parallelize over output rows i (each accumulates its own row of
-    // C); the column walk over A is strided but race-free
     parallelFor(exec, m, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            float *crow = c.data() + i * n;
-            for (std::size_t kk = 0; kk < k; ++kk) {
-                const float av = a.data()[kk * m + i];
-                if (av == 0.0f)
-                    continue;
-                kt.axpy(crow, b.data() + kk * n, n, av);
-            }
-        }
+        // A^T(i, p) = a[p*m + i]: the tile broadcasts it one element at
+        // a time, so the transpose costs no copy.
+        kt.gemm(hi - lo, n, k, a.data() + lo, 1, m, b.data(), n, 1,
+                c.data() + lo * n, n, accumulate);
     });
 }
 
 void
-addRowBias(Tensor &x, const Tensor &bias)
+addRowBias(Tensor &x, const Tensor &bias, ExecContext &exec)
 {
     LAZYDP_ASSERT(bias.rows() == 1 && bias.cols() == x.cols(),
                   "addRowBias shape mismatch");
     const KernelTable &kt = kernels();
-    for (std::size_t r = 0; r < x.rows(); ++r)
-        kt.add(x.data() + r * x.cols(), x.data() + r * x.cols(),
-               bias.data(), x.cols());
+    const std::size_t cols = x.cols();
+    parallelFor(exec, x.rows(), [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t r = lo; r < hi; ++r)
+            kt.add(x.data() + r * cols, x.data() + r * cols, bias.data(),
+                   cols);
+    });
 }
 
 void
-reduceRows(const Tensor &dy, Tensor &bias_grad)
+reduceRows(const Tensor &dy, Tensor &bias_grad, ExecContext &exec)
 {
     LAZYDP_ASSERT(bias_grad.rows() == 1 && bias_grad.cols() == dy.cols(),
                   "reduceRows shape mismatch");
-    bias_grad.zero();
     const KernelTable &kt = kernels();
-    for (std::size_t r = 0; r < dy.rows(); ++r)
-        kt.add(bias_grad.data(), bias_grad.data(),
-               dy.data() + r * dy.cols(), dy.cols());
+    const std::size_t cols = dy.cols();
+    // Split the columns: each column still sums its rows in order.
+    parallelFor(exec, cols, [&](std::size_t lo, std::size_t hi) {
+        float *dst = bias_grad.data() + lo;
+        kt.fill(dst, hi - lo, 0.0f);
+        for (std::size_t r = 0; r < dy.rows(); ++r)
+            kt.add(dst, dst, dy.data() + r * cols + lo, hi - lo);
+    });
 }
 
 } // namespace lazydp

@@ -1,10 +1,14 @@
 /**
  * @file
- * Small GEMM kernels for the DLRM MLP layers.
+ * GEMMs for the DLRM MLP layers.
  *
- * The MLP sizes in the paper's configurations are modest (<=1024 wide),
- * so a register-blocked loop with AVX2 FMA is sufficient; the training
- * bottleneck the paper studies is the embedding table, not the GEMM.
+ * With LazyDP's deferred noise the embedding-table update no longer
+ * dominates a DP training iteration; the dense layers are most of what
+ * is left, so these run the registry's register-tiled GEMM
+ * (KernelTable::gemm). Every output element is one fp32 FMA chain over
+ * k in ascending order: results are bit-identical across kernel
+ * backends, thread counts and batch sizes (a row computed alone equals
+ * the same row in a batch, which serving relies on).
  */
 
 #ifndef LAZYDP_TENSOR_MATMUL_H
@@ -57,10 +61,12 @@ void matmulAtB(const Tensor &a, const Tensor &b, Tensor &c,
                ExecContext &exec = ExecContext::serial());
 
 /** y[r] += bias for every row r of (batch x dim) tensor. */
-void addRowBias(Tensor &x, const Tensor &bias);
+void addRowBias(Tensor &x, const Tensor &bias,
+                ExecContext &exec = ExecContext::serial());
 
-/** bias_grad[c] = sum_r dy(r, c). */
-void reduceRows(const Tensor &dy, Tensor &bias_grad);
+/** bias_grad[c] = sum_r dy(r, c), rows added in order. */
+void reduceRows(const Tensor &dy, Tensor &bias_grad,
+                ExecContext &exec = ExecContext::serial());
 
 } // namespace lazydp
 

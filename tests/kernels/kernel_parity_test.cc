@@ -7,9 +7,10 @@
  *
  * Tolerance taxonomy (see kernels/kernel_registry.h):
  *  - exact (bitwise): fill, add, scale, relu fwd/bwd, poolRows — no
- *    FMA opportunity, element-wise, same accumulation order.
- *  - ULP-tight: axpy/axpby/scatterAxpyRows/gemvDotRow — a single FMA
- *    contraction per element (or a double-blocked sum cast to float).
+ *    FMA opportunity, element-wise, same accumulation order — and
+ *    gemm, whose every output is one fp32 FMA chain in ascending k.
+ *  - ULP-tight: axpy/axpby/scatterAxpyRows — a single FMA contraction
+ *    per element.
  *  - blocked-reduction: dot/squaredNorm — double partials over
  *    kReduceBlock elements; only in-block reassociation differs.
  *  - Box-Muller: polynomial-vs-libm transcendentals, |diff| <~ 1e-5
@@ -21,9 +22,12 @@
 #include <cmath>
 #include <cstring>
 #include <random>
+#include <string>
 #include <vector>
 
+#include "common/logging.h"
 #include "kernels/kernel_registry.h"
+#include "kernels/kernels_internal.h"
 #include "rng/philox.h"
 
 namespace lazydp {
@@ -50,8 +54,9 @@ std::vector<const KernelTable *>
 simdBackends()
 {
     std::vector<const KernelTable *> out;
-    if (const KernelTable *avx2 = kernelTable(KernelBackend::Avx2))
-        out.push_back(avx2);
+    for (const KernelBackend b : {KernelBackend::Avx2, KernelBackend::Avx512})
+        if (const KernelTable *t = kernelTable(b))
+            out.push_back(t);
     return out;
 }
 
@@ -105,6 +110,8 @@ TEST(KernelRegistryTest, ParseAndNames)
     EXPECT_EQ(b, KernelBackend::Scalar);
     EXPECT_TRUE(parseKernelBackend("avx2", b));
     EXPECT_EQ(b, KernelBackend::Avx2);
+    EXPECT_TRUE(parseKernelBackend("avx512", b));
+    EXPECT_EQ(b, KernelBackend::Avx512);
     EXPECT_TRUE(parseKernelBackend("auto", b));
     EXPECT_EQ(b, KernelBackend::Auto);
     b = KernelBackend::Scalar;
@@ -115,6 +122,7 @@ TEST(KernelRegistryTest, ParseAndNames)
 
     EXPECT_STREQ(kernelBackendName(KernelBackend::Scalar), "scalar");
     EXPECT_STREQ(kernelBackendName(KernelBackend::Avx2), "avx2");
+    EXPECT_STREQ(kernelBackendName(KernelBackend::Avx512), "avx512");
     EXPECT_STREQ(kernelBackendName(KernelBackend::Auto), "auto");
 }
 
@@ -126,13 +134,58 @@ TEST(KernelRegistryTest, SetBackendSwitchesDispatch)
     EXPECT_EQ(&kernels(), kernelTable(KernelBackend::Scalar));
     // Requesting an unavailable backend falls back to scalar instead
     // of crashing (forced CI matrix legs on old hardware).
-    setKernelBackend(KernelBackend::Avx2);
-    if (kernelBackendAvailable(KernelBackend::Avx2))
-        EXPECT_EQ(activeKernelBackend(), KernelBackend::Avx2);
-    else
-        EXPECT_EQ(activeKernelBackend(), KernelBackend::Scalar);
+    for (const KernelBackend b :
+         {KernelBackend::Avx2, KernelBackend::Avx512}) {
+        setKernelBackend(b);
+        if (kernelBackendAvailable(b))
+            EXPECT_EQ(activeKernelBackend(), b);
+        else
+            EXPECT_EQ(activeKernelBackend(), KernelBackend::Scalar);
+    }
     setKernelBackend(before);
     EXPECT_EQ(activeKernelBackend(), before);
+}
+
+/**
+ * The selection a host without AVX-512 makes, shown on any host by
+ * handing the registry's resolver that host's feature flags: an
+ * explicit avx512 request warns and falls back to scalar (as avx2 does
+ * on a host without AVX2), and auto settles on avx2.
+ */
+TEST(KernelRegistryTest, Avx512RequestWithoutAvx512FallsBackToScalar)
+{
+    using namespace kernels_detail;
+    CpuFeatures no512;
+    no512.avx2 = true;
+    no512.fma = true;
+    no512.avx512f = false;
+    EXPECT_EQ(resolveTable(KernelBackend::Avx512, no512), nullptr);
+
+    ::testing::internal::CaptureStderr();
+    const KernelTable &t = selectTable(KernelBackend::Avx512, no512);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(t.backend, KernelBackend::Scalar);
+    EXPECT_NE(err.find("'avx512' unavailable"), std::string::npos) << err;
+
+    // Auto never warns; it takes the widest backend the flags allow.
+    ::testing::internal::CaptureStderr();
+    const KernelTable &autod = selectTable(KernelBackend::Auto, no512);
+    EXPECT_TRUE(::testing::internal::GetCapturedStderr().empty());
+    if (kernelTable(KernelBackend::Avx2) != nullptr)
+        EXPECT_EQ(autod.backend, KernelBackend::Avx2);
+    else
+        EXPECT_EQ(autod.backend, KernelBackend::Scalar);
+
+    // No vector features at all: avx2 and avx512 both fall back.
+    const CpuFeatures none;
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(selectTable(KernelBackend::Avx2, none).backend,
+              KernelBackend::Scalar);
+    EXPECT_EQ(selectTable(KernelBackend::Avx512, none).backend,
+              KernelBackend::Scalar);
+    EXPECT_EQ(selectTable(KernelBackend::Auto, none).backend,
+              KernelBackend::Scalar);
+    ::testing::internal::GetCapturedStderr();
 }
 
 TEST(KernelParityTest, ElementwiseExact)
@@ -246,25 +299,105 @@ TEST(KernelParityTest, ReductionBlockingContract)
     }
 }
 
-TEST(KernelParityTest, GemvDotRowMatchesScalar)
+/** One strided GEMM problem for the kernel entry. */
+struct GemmCase
 {
-    std::mt19937 rng(0x6E);
+    std::size_t m, n, k;
+    std::size_t a_rs, a_ks, b_ks, b_js, ldc;
+    std::size_t off; //!< element offset of every operand (alignment)
+};
+
+/** Run @p gc through @p kt on fresh copies of the operands. */
+std::vector<float>
+runGemm(const KernelTable &kt, const GemmCase &gc,
+        const std::vector<float> &a, const std::vector<float> &b,
+        const std::vector<float> &c0, bool accumulate)
+{
+    std::vector<float> c = c0;
+    kt.gemm(gc.m, gc.n, gc.k, a.data() + gc.off, gc.a_rs, gc.a_ks,
+            b.data() + gc.off, gc.b_ks, gc.b_js, c.data() + gc.off,
+            gc.ldc, accumulate);
+    return c;
+}
+
+std::size_t
+span(std::size_t rows, std::size_t rs, std::size_t cols, std::size_t cs)
+{
+    return rows == 0 || cols == 0 ? 0 : (rows - 1) * rs + (cols - 1) * cs + 1;
+}
+
+/**
+ * The GEMM entry is exact across backends: every layout the library
+ * uses (A*B, A^T*B, A*B^T), a general-stride fallback, unaligned
+ * operands, k == 0, and sizes around every tile and k-block edge.
+ */
+TEST(KernelParityTest, GemmBitExactAcrossBackends)
+{
+    std::mt19937 rng(0x6E33);
     const KernelTable &ref = scalarRef();
-    const std::size_t ks[] = {0, 1, 3, 8, 17, 64, 65, 130};
-    const std::size_t ns[] = {1, 2, 3, 5, 8};
+    const std::size_t dims[] = {0,  1,  2,  3,  5,  6,  7,   8,   9,
+                                15, 16, 17, 31, 32, 33, 127, 128, 257};
+    const std::size_t nd = sizeof(dims) / sizeof(dims[0]);
+    std::vector<GemmCase> cases;
+    for (std::size_t i = 0; i < nd; ++i) {
+        const std::size_t m = dims[i];
+        const std::size_t n = dims[(i * 5 + 3) % nd];
+        const std::size_t k = dims[(i * 7 + 11) % nd];
+        const std::size_t off = i % 4;
+        // A*B: A (m x k), B (k x n)
+        cases.push_back({m, n, k, k, 1, n, 1, n, off});
+        // A^T*B: A stored (k x m)
+        cases.push_back({m, n, k, 1, m, n, 1, n + 3, off});
+        // A*B^T: B stored (n x k)
+        cases.push_back({m, n, k, k, 1, 1, k, n, off});
+        // general strides: the vector backends' scalar fallback
+        cases.push_back({m, n, k, k + 1, 1, 2 * n + 1, 2, n, off});
+    }
     for (const KernelTable *kt : simdBackends()) {
-        for (const std::size_t k : ks) {
-            for (const std::size_t n : ns) {
-                const auto arow = randomVec(rng, k);
-                const auto b = randomVec(rng, n * k);
-                for (const bool accumulate : {false, true}) {
-                    auto w = randomVec(rng, n);
-                    auto g = w;
-                    ref.gemvDotRow(arow.data(), b.data(), w.data(), n, k,
-                                   accumulate);
-                    kt->gemvDotRow(arow.data(), b.data(), g.data(), n, k,
-                                   accumulate);
-                    expectUlpClose(w, g, "gemvDotRow", n * 1000 + k);
+        for (const GemmCase &gc : cases) {
+            const auto a = randomVec(
+                rng, gc.off + span(gc.m, gc.a_rs, gc.k, gc.a_ks));
+            const auto b = randomVec(
+                rng, gc.off + span(gc.k, gc.b_ks, gc.n, gc.b_js));
+            const auto c0 =
+                randomVec(rng, gc.off + span(gc.m, gc.ldc, gc.n, 1));
+            for (const bool acc : {false, true}) {
+                const auto w = runGemm(ref, gc, a, b, c0, acc);
+                const auto g = runGemm(*kt, gc, a, b, c0, acc);
+                ASSERT_EQ(std::memcmp(w.data(), g.data(),
+                                      w.size() * sizeof(float)),
+                          0)
+                    << kt->name << " gemm m=" << gc.m << " n=" << gc.n
+                    << " k=" << gc.k << " b_ks=" << gc.b_ks
+                    << " b_js=" << gc.b_js << " acc=" << acc;
+            }
+        }
+    }
+}
+
+/** The reference chain itself: C(i, j) = fma(...fma(a0, b0, c)...). */
+TEST(KernelParityTest, GemmIsOneFmaChainInAscendingK)
+{
+    std::mt19937 rng(0xC4A1);
+    const std::size_t m = 3, n = 19, k = 41;
+    const auto a = randomVec(rng, m * k);
+    const auto b = randomVec(rng, k * n);
+    const auto c0 = randomVec(rng, m * n);
+    std::vector<const KernelTable *> tables{&scalarRef()};
+    for (const KernelTable *kt : simdBackends())
+        tables.push_back(kt);
+    for (const KernelTable *kt : tables) {
+        for (const bool acc : {false, true}) {
+            std::vector<float> c = c0;
+            kt->gemm(m, n, k, a.data(), k, 1, b.data(), n, 1, c.data(), n,
+                     acc);
+            for (std::size_t i = 0; i < m; ++i) {
+                for (std::size_t j = 0; j < n; ++j) {
+                    float s = acc ? c0[i * n + j] : 0.0f;
+                    for (std::size_t p = 0; p < k; ++p)
+                        s = std::fma(a[i * k + p], b[p * n + j], s);
+                    ASSERT_EQ(s, c[i * n + j])
+                        << kt->name << " i=" << i << " j=" << j;
                 }
             }
         }

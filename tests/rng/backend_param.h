@@ -37,7 +37,8 @@ class KernelBackendTest : public ::testing::TestWithParam<KernelBackend>
 inline auto
 allKernelBackends()
 {
-    return ::testing::Values(KernelBackend::Scalar, KernelBackend::Avx2);
+    return ::testing::Values(KernelBackend::Scalar, KernelBackend::Avx2,
+                             KernelBackend::Avx512);
 }
 
 /** Test-name suffix: the backend's canonical name. */
