@@ -98,13 +98,13 @@ struct GoldenEntry
 // contraction under -march=native. Native and portable builds print
 // the same rows.
 constexpr GoldenEntry kGoldenHashes[] = {
-    {"sgd", 0x2A7B74FA7D0E3270ull},
-    {"dpsgd-b", 0x46A7A9E68ECAC770ull},
-    {"dpsgd-r", 0x29F278619976BE86ull},
-    {"dpsgd-f", 0x29F278619976BE86ull},
-    {"eana", 0x9A18F4CC2AB3E7E2ull},
-    {"lazydp", 0x9942DF9486F7D48Dull},
-    {"lazydp-noans", 0x6B3CE38B19AE7478ull},
+    {"sgd", 0x6E8888CD53D4025Cull},
+    {"dpsgd-b", 0xE291AA1FCD00347Aull},
+    {"dpsgd-r", 0xD340461FF2FB8609ull},
+    {"dpsgd-f", 0xD340461FF2FB8609ull},
+    {"eana", 0x5E250070DA9E81BEull},
+    {"lazydp", 0x4DC01460342AB65Dull},
+    {"lazydp-noans", 0x428C5F43E77857E4ull},
 };
 
 constexpr std::uint64_t kIters = 50;
