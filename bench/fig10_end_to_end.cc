@@ -109,7 +109,7 @@ main(int argc, char **argv)
     if (args.has("help")) {
         std::printf("fig10_end_to_end [--threads=N] [--pipeline[=on]] "
                     "[--thread-sweep=1,2,4,8] [--replica-sweep=1,2,4] "
-                    "[--table-mb=N] [--kernels=scalar|avx2|auto]\n");
+                    "[--table-mb=N] [--kernels=scalar|avx2|avx512|auto]\n");
         return 0;
     }
     args.applyKernels();

@@ -31,7 +31,7 @@ main(int argc, char **argv)
     if (args.has("help")) {
         std::printf("fig11_lazydp_breakdown [--threads=N] [--iters=N] "
                     "[--pipeline[=on]] [--table-mb=N] "
-                    "[--kernels=scalar|avx2|auto]\n");
+                    "[--kernels=scalar|avx2|avx512|auto]\n");
         return 0;
     }
     args.applyKernels();

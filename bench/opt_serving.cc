@@ -626,7 +626,7 @@ main(int argc, char **argv)
             "opt_serving [--requests=N] [--table-mb=N] "
             "[--serve-threads=N] [--concurrency=N] [--open-qps=Q] "
             "[--scenario-qps=Q] [--train-iters=N] [--train-batch=N] "
-            "[--threads=N] [--seed=N] [--kernels=scalar|avx2|auto] "
+            "[--threads=N] [--seed=N] [--kernels=scalar|avx2|avx512|auto] "
             "[--out=BENCH_serving.json]\n");
         return 0;
     }

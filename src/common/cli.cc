@@ -142,8 +142,8 @@ CliArgs::applyKernels() const
         const std::string value = getString("kernels", "auto");
         KernelBackend backend = KernelBackend::Auto;
         if (!parseKernelBackend(value, backend))
-            fatal("flag '--kernels' expects scalar|avx2|auto, got '",
-                  value, "'");
+            fatal("flag '--kernels' expects scalar|avx2|avx512|auto, "
+                  "got '", value, "'");
         setKernelBackend(backend);
     }
     return kernelBackendName(activeKernelBackend());

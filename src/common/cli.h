@@ -97,12 +97,13 @@ class CliArgs
     std::size_t getThreads(std::uint64_t def = 1) const;
 
     /**
-     * Shared `--kernels=scalar|avx2|auto` handling: selects the
+     * Shared `--kernels=scalar|avx2|avx512|auto` handling: selects the
      * process-wide SIMD kernel backend (kernels/kernel_registry.h).
      * When the flag is absent the startup selection (LAZYDP_KERNELS
      * environment variable, else auto) stands. Fatal on garbage.
      *
-     * @return the name of the backend now active ("scalar"/"avx2")
+     * @return the name of the backend now active
+     *         ("scalar"/"avx2"/"avx512")
      */
     std::string applyKernels() const;
 

@@ -69,7 +69,7 @@ main(int argc, char **argv)
                      "threads)"},
          {"pipeline", "on|off: training stage pipeline"},
          {"replicas", "1|2|4 training data-parallel workers"},
-         {"kernels", "SIMD backend: scalar|avx2|auto"},
+         {"kernels", "SIMD backend: scalar|avx2|avx512|auto"},
          {"publish-every", "publish a model snapshot every N training "
                            "iterations"},
          {"snapshot", "snapshot store mode: full (dense O(model) "

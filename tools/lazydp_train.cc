@@ -62,8 +62,8 @@ main(int argc, char **argv)
                       "with compute (bit-identical model)"},
          {"replicas", "1|2|4 lot-sharded data-parallel workers "
                       "(bit-identical model)"},
-         {"kernels", "SIMD backend: scalar|avx2|auto (scalar is the "
-                     "bit-exact golden reference)"},
+         {"kernels", "SIMD backend: scalar|avx2|avx512|auto (scalar is "
+                     "the bit-exact golden reference)"},
          {"publish-every", "publish a serving snapshot every N "
                            "iterations (0 = off): measures the publish "
                            "cost a live serving tier would add"},
