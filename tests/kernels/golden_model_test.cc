@@ -24,9 +24,11 @@
  *
  * The hashes are a function of IEEE-754 float arithmetic on the scalar
  * reference kernels plus libm transcendentals (BCE loss, Box-Muller).
- * Every TU but the AVX2 ones is compiled with -ffp-contract=off, so
- * -march=native cannot fuse mul+add into FMA and the native and
- * portable builds compute the same reference. The hashes can still
+ * Every TU but the vector-kernel ones is compiled with
+ * -ffp-contract=off, so -march=native cannot fuse mul+add into FMA,
+ * and the scalar GEMM's explicit std::fma is correctly rounded in
+ * every build: the native and portable builds compute the same
+ * reference. The hashes can still
  * move with the libm or the compiler; if a port trips these without
  * any code change, regen on that platform rather than loosening the
  * test.
