@@ -364,9 +364,9 @@ TEST(KernelParityTest, GemmBitExactAcrossBackends)
             for (const bool acc : {false, true}) {
                 const auto w = runGemm(ref, gc, a, b, c0, acc);
                 const auto g = runGemm(*kt, gc, a, b, c0, acc);
-                ASSERT_EQ(std::memcmp(w.data(), g.data(),
-                                      w.size() * sizeof(float)),
-                          0)
+                ASSERT_TRUE(w.empty() ||
+                            std::memcmp(w.data(), g.data(),
+                                        w.size() * sizeof(float)) == 0)
                     << kt->name << " gemm m=" << gc.m << " n=" << gc.n
                     << " k=" << gc.k << " b_ks=" << gc.b_ks
                     << " b_js=" << gc.b_js << " acc=" << acc;
