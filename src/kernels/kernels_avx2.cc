@@ -72,16 +72,6 @@ struct Avx2Vec
 };
 
 void
-gemmAvx2(std::size_t m, std::size_t n, std::size_t k, const float *a,
-         std::size_t a_rs, std::size_t a_ks, const float *b,
-         std::size_t b_ks, std::size_t b_js, float *c, std::size_t ldc,
-         bool accumulate)
-{
-    gemmTiled<Avx2Vec>(m, n, k, a, a_rs, a_ks, b, b_ks, b_js, c, ldc,
-                       accumulate);
-}
-
-void
 fillAvx2(float *dst, std::size_t n, float v)
 {
     std::size_t i = 0;
@@ -465,7 +455,7 @@ avx2Table(const CpuFeatures &cpu)
         squaredNormAvx2,
         reluForwardAvx2,
         reluBackwardAvx2,
-        gemmAvx2,
+        gemmTiled<Avx2Vec>,
         poolRowsAvx2,
         scatterAxpyRowsAvx2,
         streamWithOpsAvx2,

@@ -56,16 +56,6 @@ struct Avx512Vec
     }
 };
 
-void
-gemmAvx512(std::size_t m, std::size_t n, std::size_t k, const float *a,
-           std::size_t a_rs, std::size_t a_ks, const float *b,
-           std::size_t b_ks, std::size_t b_js, float *c, std::size_t ldc,
-           bool accumulate)
-{
-    gemmTiled<Avx512Vec>(m, n, k, a, a_rs, a_ks, b, b_ks, b_js, c, ldc,
-                         accumulate);
-}
-
 } // namespace
 
 const KernelTable *
@@ -78,7 +68,7 @@ avx512Table(const CpuFeatures &cpu)
         KernelTable t = *avx2;
         t.backend = KernelBackend::Avx512;
         t.name = "avx512";
-        t.gemm = gemmAvx512;
+        t.gemm = gemmTiled<Avx512Vec>;
         return t;
     }();
     return &table;
