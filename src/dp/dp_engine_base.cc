@@ -24,41 +24,24 @@ DpEngineBase::mlpPseudoTable(std::size_t mlp_index) const
 }
 
 void
-DpEngineBase::shardForwardLoss(GradShard &s, ExecContext &exec) const
-{
-    s.timer.start(Stage::Forward);
-    model_.forward(s.batch, s.logits, s.ws, exec);
-    s.timer.stop();
-
-    s.timer.start(Stage::Else);
-    s.lossSum = BceWithLogitsLoss::forwardSum(s.logits, s.batch.labels);
-    if (s.dLogits.rows() != s.batch.batchSize || s.dLogits.cols() != 1)
-        s.dLogits.resize(s.batch.batchSize, 1);
-    BceWithLogitsLoss::backwardPerExample(s.logits, s.batch.labels,
-                                          s.dLogits);
-    s.timer.stop();
-}
-
-void
 DpEngineBase::produceShardGrads(std::uint64_t iter, GradShard &s,
                                 ExecContext &exec)
 {
     // Ghost-clipping flow (DP-SGD(F), EANA, LazyDP): norm pass without
     // parameter gradients, then a clip-reweighted per-batch backward.
     (void)iter;
-    shardForwardLoss(s, exec);
+    shardForwardLoss(model_, s, exec);
 
     s.timer.start(Stage::BackwardPerExample);
     s.normSq.assign(s.batch.batchSize, 0.0);
-    model_.backward(s.dLogits, &s.normSq, /*skip_param_grads=*/true,
-                    s.ws, nullptr, exec);
+    model_.backward(s.dLogits, &s.normSq, s.ws, /*sums=*/nullptr, exec);
     model_.accumulateEmbeddingGhostNormSq(s.batch, s.normSq, s.ws);
     clipScales(s.normSq, hyper_.clipNorm, s.scales);
     s.timer.stop();
 
     s.timer.start(Stage::BackwardPerBatch);
     scaleRows(s.dLogits, s.scales);
-    model_.backward(s.dLogits, nullptr, false, s.ws, &s.sums, exec);
+    model_.backward(s.dLogits, nullptr, s.ws, &s.sums, exec);
     s.timer.stop();
 }
 

@@ -37,7 +37,6 @@
 #include "dp/clipping.h"
 #include "dp/noise_ops.h"
 #include "nn/dlrm.h"
-#include "nn/loss.h"
 #include "rng/noise_provider.h"
 #include "train/algorithm.h"
 #include "train/lot_backward.h"
@@ -70,8 +69,6 @@ class DpEngineBase : public Algorithm
      */
     struct GradShard : LotShardState
     {
-        Tensor logits;              //!< (shard x 1)
-        Tensor dLogits;             //!< (shard x 1) per-example loss grads
         std::vector<double> normSq; //!< per-example squared grad norms
         std::vector<float> scales;  //!< per-example clip factors
         PerExampleGrads topPe;      //!< DP-SGD(B) materialization
@@ -80,12 +77,6 @@ class DpEngineBase : public Algorithm
 
     /** Provider pseudo-table id of MLP layer @p mlp_index. */
     std::uint32_t mlpPseudoTable(std::size_t mlp_index) const;
-
-    /**
-     * Shard stage 1: forward + loss sum + per-example (unscaled) logit
-     * gradients into @p s. Attributes Stage::Forward/Else to s.timer.
-     */
-    void shardForwardLoss(GradShard &s, ExecContext &exec) const;
 
     /**
      * Engine-specific shard gradient production: from the shard's

@@ -10,7 +10,7 @@ DpSgdB::produceShardGrads(std::uint64_t iter, GradShard &s,
 {
     (void)iter;
     const std::size_t n = s.batch.batchSize;
-    shardForwardLoss(s, exec);
+    shardForwardLoss(model_, s, exec);
 
     // Per-example gradient derivation: materialize every MLP layer's
     // per-example weight gradients (the memory-capacity bottleneck of

@@ -7,7 +7,7 @@ DpSgdR::produceShardGrads(std::uint64_t iter, GradShard &s,
                           ExecContext &exec)
 {
     (void)iter;
-    shardForwardLoss(s, exec);
+    shardForwardLoss(model_, s, exec);
 
     // Pass 1: per-example norms via transient materialization.
     s.timer.start(Stage::BackwardPerExample);
@@ -22,7 +22,7 @@ DpSgdR::produceShardGrads(std::uint64_t iter, GradShard &s,
     // including the embedding tables.
     s.timer.start(Stage::BackwardPerBatch);
     scaleRows(s.dLogits, s.scales);
-    model_.backward(s.dLogits, nullptr, false, s.ws, &s.sums, exec);
+    model_.backward(s.dLogits, nullptr, s.ws, &s.sums, exec);
     s.timer.stop();
 }
 

@@ -96,9 +96,10 @@ struct KernelTable
                 std::size_t n);
     /** dst[i] *= a */
     void (*scale)(float *dst, std::size_t n, float a);
-    /** sum_i a[i]*b[i], double accumulation in kReduceBlock blocks. */
-    double (*dot)(const float *a, const float *b, std::size_t n);
-    /** Fused square-accumulate sum_i x[i]^2 (per-example norms). */
+    /**
+     * Fused square-accumulate sum_i x[i]^2 (per-example norms), double
+     * accumulation in kReduceBlock blocks.
+     */
     double (*squaredNorm)(const float *x, std::size_t n);
     /** dst[i] = max(x[i], 0) */
     void (*reluForward)(float *dst, const float *x, std::size_t n);

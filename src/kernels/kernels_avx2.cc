@@ -451,7 +451,6 @@ avx2Table(const CpuFeatures &cpu)
         axpbyAvx2,
         addAvx2,
         scaleAvx2,
-        dotAvx2,
         squaredNormAvx2,
         reluForwardAvx2,
         reluBackwardAvx2,

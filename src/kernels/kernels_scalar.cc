@@ -77,8 +77,6 @@ dotScalar(const float *a, const float *b, std::size_t n)
 double
 squaredNormScalar(const float *x, std::size_t n)
 {
-    // One blocking scheme to rule them all: the dot==squaredNorm
-    // bit-identity is pinned by the tensor and parity suites.
     return dotScalar(x, x, n);
 }
 
@@ -220,7 +218,6 @@ scalarTable()
         axpbyScalar,
         addScalar,
         scaleScalar,
-        dotScalar,
         squaredNormScalar,
         reluForwardScalar,
         reluBackwardScalar,

@@ -139,12 +139,6 @@ DlrmModel::prepareWorkspace(DlrmWorkspace &ws, std::size_t batch) const
 }
 
 void
-DlrmModel::forward(const MiniBatch &mb, Tensor &logits, ExecContext &exec)
-{
-    forward(mb, logits, ws_, exec);
-}
-
-void
 DlrmModel::forward(const MiniBatch &mb, Tensor &logits, DlrmWorkspace &ws,
                    ExecContext &exec) const
 {
@@ -182,74 +176,26 @@ DlrmModel::forward(const MiniBatch &mb, Tensor &logits, DlrmWorkspace &ws,
     top_.forward(ws.interOut, logits, ws.top, exec);
 }
 
-namespace {
-
-/** Prepare backward scratch shapes shared by both backward variants. */
+template <typename MlpHook>
 void
-prepareGradBuffers(std::size_t batch, std::size_t inter_dim,
-                   std::size_t embed_dim, std::size_t num_tables,
-                   Tensor &d_inter, Tensor &d_bottom,
-                   std::vector<Tensor> &d_emb)
-{
-    if (d_inter.rows() != batch || d_inter.cols() != inter_dim)
-        d_inter.resize(batch, inter_dim);
-    if (d_bottom.rows() != batch || d_bottom.cols() != embed_dim)
-        d_bottom.resize(batch, embed_dim);
-    for (std::size_t t = 0; t < num_tables; ++t) {
-        if (d_emb[t].rows() != batch || d_emb[t].cols() != embed_dim)
-            d_emb[t].resize(batch, embed_dim);
-    }
-}
-
-} // namespace
-
-void
-DlrmModel::backward(const Tensor &d_logits,
-                    std::vector<double> *ghost_norm_sq,
-                    bool skip_param_grads, ExecContext &exec)
-{
-    // Classic path: caches from the private workspace, gradients into
-    // the layers' own tensors.
-    const std::size_t batch = d_logits.rows();
-    LAZYDP_ASSERT(batch == ws_.lastBatch,
-                  "backward batch != forward batch");
-    prepareGradBuffers(batch, interaction_.outputDim(), config_.embedDim,
-                       config_.numTables, ws_.dInterOut, ws_.dBottomOut,
-                       ws_.dEmbOut);
-
-    top_.backward(d_logits, &ws_.dInterOut, ghost_norm_sq,
-                  skip_param_grads, ws_.top, exec);
-
-    std::vector<Tensor *> d_inputs;
-    d_inputs.reserve(config_.numTables + 1);
-    d_inputs.push_back(&ws_.dBottomOut);
-    for (auto &t : ws_.dEmbOut)
-        d_inputs.push_back(&t);
-    interaction_.backwardFrom(ws_.dInterOut, d_inputs, ws_.interCache,
-                              exec);
-
-    bottom_.backward(ws_.dBottomOut, nullptr, ghost_norm_sq,
-                     skip_param_grads, ws_.bottom, exec);
-}
-
-void
-DlrmModel::backward(const Tensor &d_logits,
-                    std::vector<double> *ghost_norm_sq,
-                    bool skip_param_grads, DlrmWorkspace &ws,
-                    DlrmGradSums *sums, ExecContext &exec) const
+DlrmModel::backwardImpl(const Tensor &d_logits, DlrmWorkspace &ws,
+                        ExecContext &exec, MlpHook &&hook) const
 {
     const std::size_t batch = d_logits.rows();
+    const std::size_t embed_dim = config_.embedDim;
     LAZYDP_ASSERT(batch == ws.lastBatch,
                   "backward batch != forward batch");
-    LAZYDP_ASSERT(skip_param_grads || sums != nullptr,
-                  "shard backward needs caller-owned grad sums");
-    prepareGradBuffers(batch, interaction_.outputDim(), config_.embedDim,
-                       config_.numTables, ws.dInterOut, ws.dBottomOut,
-                       ws.dEmbOut);
+    if (ws.dInterOut.rows() != batch ||
+        ws.dInterOut.cols() != interaction_.outputDim())
+        ws.dInterOut.resize(batch, interaction_.outputDim());
+    if (ws.dBottomOut.rows() != batch || ws.dBottomOut.cols() != embed_dim)
+        ws.dBottomOut.resize(batch, embed_dim);
+    for (auto &d_emb : ws.dEmbOut) {
+        if (d_emb.rows() != batch || d_emb.cols() != embed_dim)
+            d_emb.resize(batch, embed_dim);
+    }
 
-    top_.backward(d_logits, &ws.dInterOut, ghost_norm_sq,
-                  skip_param_grads, ws.top,
-                  sums != nullptr ? &sums->top : nullptr, exec);
+    hook(top_, ws.top, d_logits, &ws.dInterOut, /*is_top=*/true);
 
     std::vector<Tensor *> d_inputs;
     d_inputs.reserve(config_.numTables + 1);
@@ -259,17 +205,23 @@ DlrmModel::backward(const Tensor &d_logits,
     interaction_.backwardFrom(ws.dInterOut, d_inputs, ws.interCache,
                               exec);
 
-    bottom_.backward(ws.dBottomOut, nullptr, ghost_norm_sq,
-                     skip_param_grads, ws.bottom,
-                     sums != nullptr ? &sums->bottom : nullptr, exec);
+    hook(bottom_, ws.bottom, ws.dBottomOut, nullptr, /*is_top=*/false);
 }
 
 void
-DlrmModel::backwardNormsOnly(const Tensor &d_logits,
-                             std::vector<double> &norm_sq,
-                             ExecContext &exec)
+DlrmModel::backward(const Tensor &d_logits,
+                    std::vector<double> *ghost_norm_sq, DlrmWorkspace &ws,
+                    DlrmGradSums *sums, ExecContext &exec) const
 {
-    backwardNormsOnly(d_logits, norm_sq, ws_, exec);
+    backwardImpl(d_logits, ws, exec,
+                 [&](const Mlp &mlp, MlpWorkspace &mlp_ws, const Tensor &g,
+                     Tensor *dx, bool is_top) {
+                     MlpGradSums *mlp_sums = nullptr;
+                     if (sums != nullptr)
+                         mlp_sums = is_top ? &sums->top : &sums->bottom;
+                     mlp.backward(g, dx, ghost_norm_sq, mlp_ws, mlp_sums,
+                                  exec);
+                 });
 }
 
 void
@@ -277,35 +229,11 @@ DlrmModel::backwardNormsOnly(const Tensor &d_logits,
                              std::vector<double> &norm_sq,
                              DlrmWorkspace &ws, ExecContext &exec) const
 {
-    const std::size_t batch = d_logits.rows();
-    LAZYDP_ASSERT(batch == ws.lastBatch,
-                  "backward batch != forward batch");
-    prepareGradBuffers(batch, interaction_.outputDim(), config_.embedDim,
-                       config_.numTables, ws.dInterOut, ws.dBottomOut,
-                       ws.dEmbOut);
-
-    top_.backwardNormsOnly(d_logits, &ws.dInterOut, norm_sq, ws.top,
-                           exec);
-
-    std::vector<Tensor *> d_inputs;
-    d_inputs.reserve(config_.numTables + 1);
-    d_inputs.push_back(&ws.dBottomOut);
-    for (auto &t : ws.dEmbOut)
-        d_inputs.push_back(&t);
-    interaction_.backwardFrom(ws.dInterOut, d_inputs, ws.interCache,
-                              exec);
-
-    bottom_.backwardNormsOnly(ws.dBottomOut, nullptr, norm_sq, ws.bottom,
-                              exec);
-}
-
-void
-DlrmModel::backwardPerExample(const Tensor &d_logits,
-                              PerExampleGrads &top_grads,
-                              PerExampleGrads &bottom_grads,
-                              ExecContext &exec)
-{
-    backwardPerExample(d_logits, top_grads, bottom_grads, ws_, exec);
+    backwardImpl(d_logits, ws, exec,
+                 [&](const Mlp &mlp, MlpWorkspace &mlp_ws, const Tensor &g,
+                     Tensor *dx, bool) {
+                     mlp.backwardNormsOnly(g, dx, norm_sq, mlp_ws, exec);
+                 });
 }
 
 void
@@ -314,33 +242,13 @@ DlrmModel::backwardPerExample(const Tensor &d_logits,
                               PerExampleGrads &bottom_grads,
                               DlrmWorkspace &ws, ExecContext &exec) const
 {
-    const std::size_t batch = d_logits.rows();
-    LAZYDP_ASSERT(batch == ws.lastBatch,
-                  "backward batch != forward batch");
-    prepareGradBuffers(batch, interaction_.outputDim(), config_.embedDim,
-                       config_.numTables, ws.dInterOut, ws.dBottomOut,
-                       ws.dEmbOut);
-
-    top_.backwardPerExample(d_logits, &ws.dInterOut, top_grads, ws.top,
-                            exec);
-
-    std::vector<Tensor *> d_inputs;
-    d_inputs.reserve(config_.numTables + 1);
-    d_inputs.push_back(&ws.dBottomOut);
-    for (auto &t : ws.dEmbOut)
-        d_inputs.push_back(&t);
-    interaction_.backwardFrom(ws.dInterOut, d_inputs, ws.interCache,
-                              exec);
-
-    bottom_.backwardPerExample(ws.dBottomOut, nullptr, bottom_grads,
-                               ws.bottom, exec);
-}
-
-void
-DlrmModel::accumulateEmbeddingGhostNormSq(const MiniBatch &mb,
-                                          std::vector<double> &out) const
-{
-    accumulateEmbeddingGhostNormSq(mb, out, ws_);
+    backwardImpl(d_logits, ws, exec,
+                 [&](const Mlp &mlp, MlpWorkspace &mlp_ws, const Tensor &g,
+                     Tensor *dx, bool is_top) {
+                     mlp.backwardPerExample(
+                         g, dx, is_top ? top_grads : bottom_grads, mlp_ws,
+                         exec);
+                 });
 }
 
 void
@@ -378,20 +286,6 @@ DlrmModel::accumulateEmbeddingGhostNormSq(const MiniBatch &mb,
             out[e] += m2_sum * g2;
         }
     }
-}
-
-const Tensor &
-DlrmModel::embOutGrad(std::size_t t) const
-{
-    LAZYDP_ASSERT(t < ws_.dEmbOut.size(), "table index out of range");
-    return ws_.dEmbOut[t];
-}
-
-void
-DlrmModel::embeddingBackward(const MiniBatch &mb, std::size_t t,
-                             SparseGrad &grad) const
-{
-    embeddingBackwardFrom(mb, t, ws_.dEmbOut[t], grad);
 }
 
 void

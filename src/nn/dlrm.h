@@ -5,12 +5,13 @@
  * feature interaction, top MLP producing a CTR logit.
  *
  * The model exposes exactly the hooks the SGD / DP-SGD(B/R/F) / EANA /
- * LazyDP engines need:
- *   - forward() caching all activations;
+ * LazyDP engines need, each running against a caller-owned
+ * DlrmWorkspace:
+ *   - forward() caching all activations in the workspace;
  *   - backward() from per-example logit gradients, filling per-layer
- *     MLP batch gradients and per-table pooled-embedding gradients,
+ *     MLP batch-gradient sums and per-table pooled-embedding gradients,
  *     optionally accumulating per-example ghost norms;
- *   - backwardPerExample() materializing per-example MLP gradients;
+ *   - backwardNormsOnly() / backwardPerExample() for DP-SGD(R) / (B);
  *   - sparse embedding backward/apply helpers.
  */
 
@@ -31,11 +32,10 @@
 namespace lazydp {
 
 /**
- * Forward/backward activation state of one DLRM pass, hoisted out of
- * the model so several lot shards can run partial-batch passes
+ * Forward/backward activation state of one DLRM pass. Being
+ * caller-owned, it lets several lot shards run partial-batch passes
  * CONCURRENTLY against the same (read-only) weights -- the
- * data-parallel replica path. The model keeps one private workspace
- * serving the classic workspace-less entry points.
+ * data-parallel replica path.
  */
 struct DlrmWorkspace
 {
@@ -148,73 +148,54 @@ class DlrmModel
     TierStats tierStats() const;
 
     /**
-     * Forward pass over a mini-batch.
+     * Forward pass over a (partial) mini-batch; every activation cache
+     * lives in the caller's @p ws. Const -- safe to run concurrently
+     * from several lot shards, each with its own workspace, while
+     * nobody mutates the weights. Each output row depends only on its
+     * own example, so the rows a shard produces are bit-identical to
+     * the same examples' rows in a full-lot pass.
      *
      * @param mb input batch (must match the config's shape)
      * @param logits (batch x 1) output scores
      * @param exec execution context for the GEMM/interaction kernels
      */
-    void forward(const MiniBatch &mb, Tensor &logits,
-                 ExecContext &exec = ExecContext::serial());
-
-    /**
-     * Partial-batch workspace forward: identical math, but every
-     * activation cache lives in the caller's @p ws. Const -- safe to
-     * run concurrently from several lot shards, each with its own
-     * workspace, while nobody mutates the weights. Each output row
-     * depends only on its own example, so the rows a shard produces
-     * are bit-identical to the same examples' rows in a full-lot pass.
-     */
     void forward(const MiniBatch &mb, Tensor &logits, DlrmWorkspace &ws,
                  ExecContext &exec) const;
 
     /**
-     * Backward from per-example logit gradients.
-     *
-     * Fills every MLP layer's batch weight/bias gradient and, for each
-     * table, the pooled-output gradient (readable via embOutGrad()).
+     * Backward from per-example logit gradients through the caches of
+     * the matching forward. MLP batch-gradient sums land in the
+     * caller's @p sums, pooled embedding gradients in ws.dEmbOut. The
+     * model's own gradient tensors stay untouched -- the caller
+     * tree-reduces shard sums into them afterwards.
      *
      * @param d_logits (batch x 1), one row per example (callers encode
      *        1/B averaging or per-example clip factors into these rows)
      * @param ghost_norm_sq when non-null, accumulates each example's
      *        squared MLP gradient norm (ghost norms; embedding terms
      *        are added separately via accumulateEmbeddingGhostNormSq)
+     * @param sums MLP batch-gradient sums; nullptr derives activation
+     *        gradients only (ws.dEmbOut, ws.dBottomOut, ghost norms),
+     *        which are the same as with sums
      */
     void backward(const Tensor &d_logits,
-                  std::vector<double> *ghost_norm_sq = nullptr,
-                  bool skip_param_grads = false,
-                  ExecContext &exec = ExecContext::serial());
-
-    /**
-     * Partial-batch workspace backward: MLP batch-gradient sums land in
-     * the caller's @p sums (required unless skip_param_grads), pooled
-     * embedding gradients in ws.dEmbOut. The model's own gradient
-     * tensors stay untouched -- the caller tree-reduces shard sums into
-     * them afterwards.
-     */
-    void backward(const Tensor &d_logits,
-                  std::vector<double> *ghost_norm_sq,
-                  bool skip_param_grads, DlrmWorkspace &ws,
+                  std::vector<double> *ghost_norm_sq, DlrmWorkspace &ws,
                   DlrmGradSums *sums, ExecContext &exec) const;
 
     /**
      * DP-SGD(R)'s norm pass: per-example MLP gradients are materialized
      * layer-by-layer into scratch (then discarded) to accumulate
      * per-example squared norms; no batch parameter gradients are
-     * produced. Pooled-embedding gradients are produced as usual.
+     * produced. Pooled-embedding gradients land in ws.dEmbOut as in
+     * backward().
      */
-    void backwardNormsOnly(const Tensor &d_logits,
-                           std::vector<double> &norm_sq,
-                           ExecContext &exec = ExecContext::serial());
-
-    /** Partial-batch workspace variant of backwardNormsOnly. */
     void backwardNormsOnly(const Tensor &d_logits,
                            std::vector<double> &norm_sq,
                            DlrmWorkspace &ws, ExecContext &exec) const;
 
     /**
      * Backward materializing per-example MLP gradients (DP-SGD(B)).
-     * Pooled-embedding gradients are produced as in backward().
+     * Pooled-embedding gradients land in ws.dEmbOut as in backward().
      *
      * @param d_logits per-example logit gradients
      * @param top_grads per-example grads of the top MLP
@@ -223,41 +204,25 @@ class DlrmModel
     void backwardPerExample(const Tensor &d_logits,
                             PerExampleGrads &top_grads,
                             PerExampleGrads &bottom_grads,
-                            ExecContext &exec = ExecContext::serial());
-
-    /** Partial-batch workspace variant of backwardPerExample. */
-    void backwardPerExample(const Tensor &d_logits,
-                            PerExampleGrads &top_grads,
-                            PerExampleGrads &bottom_grads,
                             DlrmWorkspace &ws, ExecContext &exec) const;
 
     /**
      * Add each example's squared embedding-gradient norm (all tables)
-     * into @p out. Exact, accounting for duplicate indices within an
-     * example (multiplicity m contributes m^2 * ||g_e||^2).
+     * into @p out, from the pooled gradients in @p ws .dEmbOut. Exact,
+     * accounting for duplicate indices within an example (multiplicity
+     * m contributes m^2 * ||g_e||^2).
      *
-     * Requires backward() (or backwardPerExample()) to have run.
+     * Requires one of the backward passes to have run on @p ws.
      */
-    void accumulateEmbeddingGhostNormSq(const MiniBatch &mb,
-                                        std::vector<double> &out) const;
-
-    /** Workspace variant: reads pooled grads from @p ws .dEmbOut. */
     void accumulateEmbeddingGhostNormSq(const MiniBatch &mb,
                                         std::vector<double> &out,
                                         const DlrmWorkspace &ws) const;
 
-    /** @return pooled-output gradient of table @p t (batch x dim). */
-    const Tensor &embOutGrad(std::size_t t) const;
-
-    /** Coalesce the sparse gradient of table @p t from embOutGrad. */
-    void embeddingBackward(const MiniBatch &mb, std::size_t t,
-                           SparseGrad &grad) const;
-
     /**
-     * Coalesce the sparse gradient of table @p t from an explicit
-     * pooled-output gradient tensor (batch x dim) -- the post-reduce
-     * path of the lot-sharded engines, whose pooled gradients are
-     * gathered from the shard workspaces rather than the model's own.
+     * Coalesce the sparse gradient of table @p t from a pooled-output
+     * gradient tensor (batch x dim): one shard's ws.dEmbOut[t], or the
+     * lot-wide buffer the lot-sharded engines gather from the shard
+     * workspaces.
      */
     void embeddingBackwardFrom(const MiniBatch &mb, std::size_t t,
                                const Tensor &d_out,
@@ -269,8 +234,7 @@ class DlrmModel
     /**
      * Overwrite all parameters (embedding tables + both MLPs' weights
      * and biases) with @p other 's. Configurations must be identical
-     * (panics otherwise). Gradients, caches and workspaces are not
-     * touched -- copying exactly the state a const forward() reads is
+     * (panics otherwise). Gradients are not touched -- copying exactly the state a const forward() reads is
      * what lets ModelSnapshotStore publish consistent serving replicas
      * while training keeps mutating the source model.
      */
@@ -306,14 +270,21 @@ class DlrmModel
     /** Size @p ws 's per-table vectors and record @p batch. */
     void prepareWorkspace(DlrmWorkspace &ws, std::size_t batch) const;
 
+    /**
+     * Shared backward skeleton: sizes the gradient buffers of @p ws,
+     * then runs the top MLP, the interaction and the bottom MLP,
+     * calling @p hook (mlp, mlp_ws, d_y, d_x, is_top) for each MLP's
+     * backward.
+     */
+    template <typename MlpHook>
+    void backwardImpl(const Tensor &d_logits, DlrmWorkspace &ws,
+                      ExecContext &exec, MlpHook &&hook) const;
+
     ModelConfig config_;
     Mlp bottom_;
     std::vector<EmbeddingTable> tables_;
     DotInteraction interaction_;
     Mlp top_;
-
-    // Workspace backing the classic (workspace-less) entry points.
-    DlrmWorkspace ws_;
 };
 
 } // namespace lazydp

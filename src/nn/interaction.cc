@@ -21,13 +21,6 @@ DotInteraction::outputDim() const
 }
 
 void
-DotInteraction::forward(const std::vector<const Tensor *> &inputs,
-                        Tensor &out, ExecContext &exec)
-{
-    forwardInto(inputs, out, cache_, exec);
-}
-
-void
 DotInteraction::forwardInto(const std::vector<const Tensor *> &inputs,
                             Tensor &out, Tensor &cache,
                             ExecContext &exec) const
@@ -70,14 +63,6 @@ DotInteraction::forwardInto(const std::vector<const Tensor *> &inputs,
             }
         }
     });
-}
-
-void
-DotInteraction::backward(const Tensor &d_out,
-                         const std::vector<Tensor *> &d_inputs,
-                         ExecContext &exec) const
-{
-    backwardFrom(d_out, d_inputs, cache_, exec);
 }
 
 void

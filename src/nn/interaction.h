@@ -18,7 +18,11 @@
 
 namespace lazydp {
 
-/** Pairwise-dot feature interaction with cached inputs for backward. */
+/**
+ * Pairwise-dot feature interaction. Stateless: the forward's input cache
+ * lives in a caller-owned tensor, so concurrent lot shards can each
+ * interact with their own workspace.
+ */
 class DotInteraction
 {
   public:
@@ -38,14 +42,8 @@ class DotInteraction
      * @param inputs num_inputs tensors, each (batch x dim); inputs[0]
      *        must be the bottom-MLP output (it is passed through)
      * @param out (batch x outputDim()) result
-     */
-    void forward(const std::vector<const Tensor *> &inputs, Tensor &out,
-                 ExecContext &exec = ExecContext::serial());
-
-    /**
-     * Workspace forward: the flattened input cache lands in the
-     * caller's @p cache instead of the member -- const, so concurrent
-     * lot shards can each interact with their own workspace.
+     * @param cache the inputs, flattened to (batch x num_inputs*dim),
+     *        for backwardFrom
      */
     void forwardInto(const std::vector<const Tensor *> &inputs,
                      Tensor &out, Tensor &cache, ExecContext &exec) const;
@@ -56,12 +54,8 @@ class DotInteraction
      * @param d_out (batch x outputDim()) upstream gradient
      * @param d_inputs num_inputs tensors (batch x dim), overwritten
      *        with the gradient wrt each input
+     * @param cache the input cache of the matching forwardInto
      */
-    void backward(const Tensor &d_out,
-                  const std::vector<Tensor *> &d_inputs,
-                  ExecContext &exec = ExecContext::serial()) const;
-
-    /** Workspace backward: reads the caller's @p cache. */
     void backwardFrom(const Tensor &d_out,
                       const std::vector<Tensor *> &d_inputs,
                       const Tensor &cache, ExecContext &exec) const;
@@ -72,8 +66,6 @@ class DotInteraction
   private:
     std::size_t numInputs_;
     std::size_t dim_;
-    // Cached forward inputs, flattened to (batch x num_inputs*dim).
-    Tensor cache_;
 };
 
 } // namespace lazydp

@@ -63,12 +63,6 @@ LinearLayer::initUniform(std::uint64_t seed)
 }
 
 void
-LinearLayer::forward(const Tensor &x, Tensor &y, ExecContext &exec)
-{
-    forwardInto(x, y, x_cache_, exec);
-}
-
-void
 LinearLayer::forwardInto(const Tensor &x, Tensor &y, Tensor &x_cache,
                          ExecContext &exec) const
 {
@@ -78,15 +72,6 @@ LinearLayer::forwardInto(const Tensor &x, Tensor &y, Tensor &x_cache,
     x_cache.copyFrom(x);
     matmulABt(x, w_, y, false, exec);
     addRowBias(y, b_, exec);
-}
-
-void
-LinearLayer::backward(const Tensor &d_y, Tensor *d_x,
-                      bool skip_param_grads, ExecContext &exec)
-{
-    backwardFrom(d_y, x_cache_, d_x,
-                 skip_param_grads ? nullptr : &w_grad_,
-                 skip_param_grads ? nullptr : &b_grad_, exec);
 }
 
 void
@@ -115,13 +100,6 @@ LinearLayer::backwardFrom(const Tensor &d_y, const Tensor &x_cache,
 }
 
 void
-LinearLayer::accumulateGhostNormSq(const Tensor &d_y,
-                                   std::vector<double> &out) const
-{
-    accumulateGhostNormSqFrom(d_y, x_cache_, out);
-}
-
-void
 LinearLayer::accumulateGhostNormSqFrom(const Tensor &d_y,
                                        const Tensor &x_cache,
                                        std::vector<double> &out) const
@@ -137,13 +115,6 @@ LinearLayer::accumulateGhostNormSqFrom(const Tensor &d_y,
             kt.squaredNorm(x_cache.data() + e * in_, in_);
         out[e] += g2 * a2 + g2; // weight term + bias term
     }
-}
-
-void
-LinearLayer::perExampleGrads(const Tensor &d_y, Tensor &w_grads,
-                             Tensor &b_grads, ExecContext &exec) const
-{
-    perExampleGradsFrom(d_y, x_cache_, w_grads, b_grads, exec);
 }
 
 void
@@ -207,12 +178,6 @@ Mlp::ensureWorkspace(MlpWorkspace &ws) const
         ws.zCache.resize(layers_.size());
         ws.gradScratch.resize(layers_.size());
     }
-}
-
-void
-Mlp::forward(const Tensor &x, Tensor &y, ExecContext &exec)
-{
-    static_cast<const Mlp &>(*this).forward(x, y, ws_, exec);
 }
 
 void
@@ -287,41 +252,11 @@ Mlp::backwardImpl(const Tensor &d_y, Tensor *d_x, MlpWorkspace &ws,
 
 void
 Mlp::backward(const Tensor &d_y, Tensor *d_x,
-              std::vector<double> *ghost_norm_sq, bool skip_param_grads,
-              ExecContext &exec)
+              std::vector<double> *ghost_norm_sq, MlpWorkspace &ws,
+              MlpGradSums *sums, ExecContext &exec) const
 {
-    backward(d_y, d_x, ghost_norm_sq, skip_param_grads, ws_, exec);
-}
-
-void
-Mlp::backward(const Tensor &d_y, Tensor *d_x,
-              std::vector<double> *ghost_norm_sq, bool skip_param_grads,
-              MlpWorkspace &ws, ExecContext &exec)
-{
-    backwardImpl(d_y, d_x, ws,
-                 [&](std::size_t li, const Tensor &g, Tensor *dx) {
-                     LinearLayer &layer = layers_[li];
-                     if (ghost_norm_sq != nullptr)
-                         layer.accumulateGhostNormSqFrom(
-                             g, ws.xCache[li], *ghost_norm_sq);
-                     layer.backwardFrom(
-                         g, ws.xCache[li], dx,
-                         skip_param_grads ? nullptr : &layer.weightGrad(),
-                         skip_param_grads ? nullptr : &layer.biasGrad(),
-                         exec);
-                 });
-}
-
-void
-Mlp::backward(const Tensor &d_y, Tensor *d_x,
-              std::vector<double> *ghost_norm_sq, bool skip_param_grads,
-              MlpWorkspace &ws, MlpGradSums *sums, ExecContext &exec) const
-{
-    if (!skip_param_grads) {
-        LAZYDP_ASSERT(sums != nullptr,
-                      "workspace backward needs caller-owned grad sums");
+    if (sums != nullptr)
         sums->ensureShape(*this);
-    }
     backwardImpl(d_y, d_x, ws,
                  [&](std::size_t li, const Tensor &g, Tensor *dx) {
                      const LinearLayer &layer = layers_[li];
@@ -330,17 +265,9 @@ Mlp::backward(const Tensor &d_y, Tensor *d_x,
                              g, ws.xCache[li], *ghost_norm_sq);
                      layer.backwardFrom(
                          g, ws.xCache[li], dx,
-                         skip_param_grads ? nullptr : &sums->w[li],
-                         skip_param_grads ? nullptr : &sums->b[li], exec);
+                         sums != nullptr ? &sums->w[li] : nullptr,
+                         sums != nullptr ? &sums->b[li] : nullptr, exec);
                  });
-}
-
-void
-Mlp::backwardNormsOnly(const Tensor &d_y, Tensor *d_x,
-                       std::vector<double> &norm_sq, ExecContext &exec)
-{
-    static_cast<const Mlp &>(*this).backwardNormsOnly(d_y, d_x, norm_sq,
-                                                      ws_, exec);
 }
 
 void
@@ -370,14 +297,6 @@ Mlp::backwardNormsOnly(const Tensor &d_y, Tensor *d_x,
                      if (dx != nullptr)
                          matmulAB(g, layer.weight(), *dx, false, exec);
                  });
-}
-
-void
-Mlp::backwardPerExample(const Tensor &d_y, Tensor *d_x,
-                        PerExampleGrads &grads, ExecContext &exec)
-{
-    static_cast<const Mlp &>(*this).backwardPerExample(d_y, d_x, grads,
-                                                       ws_, exec);
 }
 
 void

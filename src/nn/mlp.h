@@ -2,10 +2,13 @@
  * @file
  * Linear layers and MLP stacks with the hooks DP-SGD needs.
  *
- * Besides the usual forward/backward, each layer retains its input
- * activations so the DP engines can derive per-example weight gradients
+ * Every pass runs against a caller-owned MlpWorkspace: the forward
+ * keeps each layer's input activations there, and the backward reads
+ * them back to derive batch gradients, per-example weight gradients
  * (DP-SGD(B)), per-example gradient *norms* without materialization
- * (ghost norms, DP-SGD(F)), and reweighted batch gradients (DP-SGD(R)).
+ * (ghost norms, DP-SGD(F)), or reweighted batch gradients (DP-SGD(R)).
+ * The weights are only read, so several lot shards, each with its own
+ * workspace, may run passes concurrently.
  */
 
 #ifndef LAZYDP_NN_MLP_H
@@ -36,11 +39,11 @@ struct PerExampleGrads
 
 /**
  * Activation / scratch state of one forward+backward pass through an
- * Mlp. The model formerly cached this inside the layers; hoisting it
- * into a caller-owned workspace lets several lot shards run
+ * Mlp. Being caller-owned, it lets several lot shards run
  * forward/backward CONCURRENTLY against the same (read-only) weights --
- * the data-parallel replica path. The Mlp keeps one private workspace
- * for the classic single-caller entry points.
+ * the data-parallel replica path. Reusing one across iterations keeps
+ * its buffers (backwardNormsOnly's per-example scratch is ~1 GB at
+ * batch 2048) allocated.
  */
 struct MlpWorkspace
 {
@@ -70,7 +73,7 @@ struct MlpGradSums
     void zero();
 };
 
-/** Fully connected layer y = x W^T + b with cached activations. */
+/** Fully connected layer y = x W^T + b. */
 class LinearLayer
 {
   public:
@@ -83,40 +86,30 @@ class LinearLayer
     /** Kaiming-uniform style weight init. */
     void initUniform(std::uint64_t seed);
 
-    /** y = x W^T + b; caches x for backward. */
-    void forward(const Tensor &x, Tensor &y,
-                 ExecContext &exec = ExecContext::serial());
-
     /**
-     * Workspace forward: like forward() but the input copy lands in the
-     * caller's @p x_cache instead of the layer -- const, so shards may
-     * run it concurrently against shared weights.
+     * y = x W^T + b; copies x into the caller's @p x_cache for the
+     * backward. Const, so shards may run it concurrently against
+     * shared weights.
      */
     void forwardInto(const Tensor &x, Tensor &y, Tensor &x_cache,
                      ExecContext &exec) const;
 
     /**
-     * Per-batch backward: fills the layer's weight/bias gradients
-     * (mean over examples is NOT applied here; callers divide once).
+     * Per-batch backward from the input @p x_cache of the matching
+     * forwardInto (mean over examples is NOT applied here; callers
+     * divide once).
      *
      * @param d_y (batch x out) upstream gradient
      * @param d_x (batch x in) output: gradient wrt input (nullptr to
      *        skip input-gradient derivation for the first layer)
+     * @param w_grad (out x in) summed weight gradient, @p b_grad
+     *        (1 x out) summed bias gradient; both nullptr to skip
+     *        parameter gradients
      *
      * DP-SGD(R)'s per-example reweighting is applied upstream, by
      * scaling the rows of the loss gradient, so plain backward here
      * yields the reweighted sums for every parameter including the
-     * embedding tables.
-     */
-    void backward(const Tensor &d_y, Tensor *d_x,
-                  bool skip_param_grads = false,
-                  ExecContext &exec = ExecContext::serial());
-
-    /**
-     * Workspace backward: gradients derive from the caller's
-     * @p x_cache and land in the caller's @p w_grad / @p b_grad (both
-     * nullptr to skip parameter gradients). Const for the same reason
-     * as forwardInto.
+     * embedding tables. Const for the same reason as forwardInto.
      */
     void backwardFrom(const Tensor &d_y, const Tensor &x_cache,
                       Tensor *d_x, Tensor *w_grad, Tensor *b_grad,
@@ -127,15 +120,10 @@ class LinearLayer
      * ||g_e||^2 * ||a_e||^2 + ||g_e||^2 without forming dW_e
      * (exact for linear layers; Denison et al.).
      *
-     * Uses the cached input of the last forward.
-     *
      * @param d_y (batch x out) upstream gradient
+     * @param x_cache (batch x in) input of the matching forwardInto
      * @param out accumulator, length batch
      */
-    void accumulateGhostNormSq(const Tensor &d_y,
-                               std::vector<double> &out) const;
-
-    /** Workspace ghost norms: reads the caller's @p x_cache. */
     void accumulateGhostNormSqFrom(const Tensor &d_y,
                                    const Tensor &x_cache,
                                    std::vector<double> &out) const;
@@ -145,14 +133,10 @@ class LinearLayer
      * dW_e = g_e (x) a_e, db_e = g_e.
      *
      * @param d_y (batch x out) upstream gradient
+     * @param x_cache (batch x in) input of the matching forwardInto
      * @param w_grads output (batch x (out*in))
      * @param b_grads output (batch x out)
      */
-    void perExampleGrads(const Tensor &d_y, Tensor &w_grads,
-                         Tensor &b_grads,
-                         ExecContext &exec = ExecContext::serial()) const;
-
-    /** Workspace per-example grads: reads the caller's @p x_cache. */
     void perExampleGradsFrom(const Tensor &d_y, const Tensor &x_cache,
                              Tensor &w_grads, Tensor &b_grads,
                              ExecContext &exec) const;
@@ -170,9 +154,6 @@ class LinearLayer
     Tensor &bias() { return b_; }
     const Tensor &bias() const { return b_; }
 
-    /** @return cached input of the last forward. */
-    const Tensor &input() const { return x_cache_; }
-
     std::size_t inDim() const { return in_; }
     std::size_t outDim() const { return out_; }
 
@@ -186,7 +167,6 @@ class LinearLayer
     Tensor b_;       // (1 x out)
     Tensor w_grad_;  // (out x in)
     Tensor b_grad_;  // (1 x out)
-    Tensor x_cache_; // (batch x in)
 };
 
 /** MLP: alternating LinearLayer and ReLU (no activation after last). */
@@ -199,53 +179,28 @@ class Mlp
      */
     Mlp(const std::vector<std::size_t> &dims, std::uint64_t seed);
 
-    /** Forward through all layers; caches activations. */
-    void forward(const Tensor &x, Tensor &y,
-                 ExecContext &exec = ExecContext::serial());
-
     /**
-     * Workspace forward: activations cache into @p ws instead of the
-     * private workspace. Const -- several lot shards may run
-     * concurrently, each with its own workspace, against the shared
-     * weights.
+     * Forward through all layers; activations cache into @p ws. Const
+     * -- several lot shards may run concurrently, each with its own
+     * workspace, against the shared weights.
      */
     void forward(const Tensor &x, Tensor &y, MlpWorkspace &ws,
                  ExecContext &exec) const;
 
     /**
-     * Backward through all layers, filling per-layer batch gradients.
+     * Backward through all layers from the caches @p ws holds from the
+     * matching forward. The layers' own gradient tensors are not
+     * touched, so concurrent shard backwards never race.
      *
      * @param d_y upstream gradient of the MLP output
      * @param d_x gradient wrt the MLP input (nullptr to skip)
      * @param ghost_norm_sq when non-null, each layer accumulates its
      *        per-example squared gradient norms into it (DP-SGD(F))
+     * @param sums per-layer batch-gradient sums (caller-owned; nullptr
+     *        for activation gradients only)
      */
     void backward(const Tensor &d_y, Tensor *d_x,
-                  std::vector<double> *ghost_norm_sq = nullptr,
-                  bool skip_param_grads = false,
-                  ExecContext &exec = ExecContext::serial());
-
-    /**
-     * Workspace backward writing the LAYERS' own gradient tensors:
-     * consumes the caches @p ws holds from the matching workspace
-     * forward (the DlrmModel's classic path runs its MLPs through an
-     * explicit workspace).
-     */
-    void backward(const Tensor &d_y, Tensor *d_x,
-                  std::vector<double> *ghost_norm_sq,
-                  bool skip_param_grads, MlpWorkspace &ws,
-                  ExecContext &exec);
-
-    /**
-     * Workspace backward for concurrent lot shards: parameter-gradient
-     * sums land in @p sums (per-layer caller-owned tensors; may be
-     * nullptr only when skip_param_grads). The layers' own gradient
-     * tensors are not touched, so concurrent shard backwards never
-     * race.
-     */
-    void backward(const Tensor &d_y, Tensor *d_x,
-                  std::vector<double> *ghost_norm_sq,
-                  bool skip_param_grads, MlpWorkspace &ws,
+                  std::vector<double> *ghost_norm_sq, MlpWorkspace &ws,
                   MlpGradSums *sums, ExecContext &exec) const;
 
     /**
@@ -257,25 +212,17 @@ class Mlp
      * @param d_y upstream gradient of the MLP output
      * @param d_x gradient wrt the MLP input (nullptr to skip)
      * @param norm_sq accumulator, length batch
+     * @param ws caches of the matching forward; also holds the scratch
      */
-    void backwardNormsOnly(const Tensor &d_y, Tensor *d_x,
-                           std::vector<double> &norm_sq,
-                           ExecContext &exec = ExecContext::serial());
-
-    /** Workspace variant of backwardNormsOnly (scratch lives in @p ws). */
     void backwardNormsOnly(const Tensor &d_y, Tensor *d_x,
                            std::vector<double> &norm_sq, MlpWorkspace &ws,
                            ExecContext &exec) const;
 
     /**
      * Backward that additionally materializes per-example gradients of
-     * every layer (DP-SGD(B)). Batch gradients are not produced.
+     * every layer (DP-SGD(B)) from the caches @p ws holds. Batch
+     * gradients are not produced.
      */
-    void backwardPerExample(const Tensor &d_y, Tensor *d_x,
-                            PerExampleGrads &grads,
-                            ExecContext &exec = ExecContext::serial());
-
-    /** Workspace variant of backwardPerExample. */
     void backwardPerExample(const Tensor &d_y, Tensor *d_x,
                             PerExampleGrads &grads, MlpWorkspace &ws,
                             ExecContext &exec) const;
@@ -285,7 +232,7 @@ class Mlp
 
     /**
      * Overwrite every layer's weights and biases with @p other 's
-     * (shapes must match). Gradients and caches are NOT copied -- this
+     * (shapes must match). Gradients are NOT copied -- this
      * is the snapshot-publication primitive, which only needs the
      * parameters a reader's forward pass consumes.
      */
@@ -316,10 +263,6 @@ class Mlp
 
     std::vector<std::size_t> dims_;
     std::vector<LinearLayer> layers_;
-    // Workspace backing the classic (workspace-less) entry points.
-    // Persistent so backwardNormsOnly's per-example scratch avoids a
-    // ~1 GB realloc + page-fault storm per iteration at batch 2048.
-    MlpWorkspace ws_;
 };
 
 } // namespace lazydp

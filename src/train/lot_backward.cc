@@ -2,7 +2,26 @@
 
 #include <cstring>
 
+#include "nn/loss.h"
+
 namespace lazydp {
+
+void
+shardForwardLoss(const DlrmModel &model, LotShardState &s,
+                 ExecContext &exec)
+{
+    s.timer.start(Stage::Forward);
+    model.forward(s.batch, s.logits, s.ws, exec);
+    s.timer.stop();
+
+    s.timer.start(Stage::Else);
+    s.lossSum = BceWithLogitsLoss::forwardSum(s.logits, s.batch.labels);
+    if (s.dLogits.rows() != s.batch.batchSize || s.dLogits.cols() != 1)
+        s.dLogits.resize(s.batch.batchSize, 1);
+    BceWithLogitsLoss::backwardPerExample(s.logits, s.batch.labels,
+                                          s.dLogits);
+    s.timer.stop();
+}
 
 double
 shardedLotBackward(

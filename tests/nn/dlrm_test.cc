@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "data/synthetic_dataset.h"
 #include "kernels/kernel_registry.h"
@@ -25,6 +26,29 @@ datasetFor(const ModelConfig &mc, std::size_t batch)
     return dc;
 }
 
+ExecContext &
+serial()
+{
+    return ExecContext::serial();
+}
+
+/** @return the lot loss sum of a forward in a fresh workspace. */
+double
+lossSum(const DlrmModel &model, const MiniBatch &mb)
+{
+    DlrmWorkspace ws;
+    Tensor logits;
+    model.forward(mb, logits, ws, serial());
+    return BceWithLogitsLoss::forwardSum(logits, mb.labels);
+}
+
+bool
+bitEqual(const Tensor &a, const Tensor &b)
+{
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
 TEST(DlrmTest, ForwardProducesFiniteLogits)
 {
     const auto mc = ModelConfig::tiny();
@@ -32,7 +56,8 @@ TEST(DlrmTest, ForwardProducesFiniteLogits)
     SyntheticDataset ds(datasetFor(mc, 8));
     const MiniBatch mb = ds.batch(0);
     Tensor logits;
-    model.forward(mb, logits);
+    DlrmWorkspace ws;
+    model.forward(mb, logits, ws, serial());
     EXPECT_EQ(logits.rows(), 8u);
     EXPECT_EQ(logits.cols(), 1u);
     for (std::size_t i = 0; i < logits.size(); ++i)
@@ -47,8 +72,9 @@ TEST(DlrmTest, ForwardIsDeterministic)
     SyntheticDataset ds(datasetFor(mc, 4));
     const MiniBatch mb = ds.batch(3);
     Tensor la, lb;
-    a.forward(mb, la);
-    b.forward(mb, lb);
+    DlrmWorkspace wa, wb;
+    a.forward(mb, la, wa, serial());
+    b.forward(mb, lb, wb, serial());
     for (std::size_t i = 0; i < la.size(); ++i)
         EXPECT_EQ(la.data()[i], lb.data()[i]);
 }
@@ -62,21 +88,18 @@ TEST(DlrmTest, EmbeddingWeightGradNumericalCheck)
     const MiniBatch mb = ds.batch(0);
 
     Tensor logits;
-    model.forward(mb, logits);
+    DlrmWorkspace ws;
+    model.forward(mb, logits, ws, serial());
     Tensor d_logits(4, 1);
     BceWithLogitsLoss::backwardPerExample(logits, mb.labels, d_logits);
-    model.backward(d_logits);
+    model.backward(d_logits, nullptr, ws, nullptr, serial());
 
     SparseGrad grad;
-    model.embeddingBackward(mb, 0, grad);
+    model.embeddingBackwardFrom(mb, 0, ws.dEmbOut[0], grad);
     ASSERT_FALSE(grad.rows.empty());
 
-    auto loss_at = [&]() {
-        Tensor l;
-        model.forward(mb, l);
-        // sum (not mean) to match unscaled per-example grads
-        return BceWithLogitsLoss::forward(l, mb.labels) * 4.0;
-    };
+    // sum (not mean) to match unscaled per-example grads
+    auto loss_at = [&]() { return lossSum(model, mb); };
 
     const float eps = 2e-3f;
     const std::uint32_t row = grad.rows[0];
@@ -102,16 +125,14 @@ TEST(DlrmTest, MlpWeightGradNumericalCheck)
     const MiniBatch mb = ds.batch(1);
 
     Tensor logits;
-    model.forward(mb, logits);
+    DlrmWorkspace ws;
+    model.forward(mb, logits, ws, serial());
     Tensor d_logits(3, 1);
     BceWithLogitsLoss::backwardPerExample(logits, mb.labels, d_logits);
-    model.backward(d_logits);
+    DlrmGradSums sums;
+    model.backward(d_logits, nullptr, ws, &sums, serial());
 
-    auto loss_at = [&]() {
-        Tensor l;
-        model.forward(mb, l);
-        return BceWithLogitsLoss::forward(l, mb.labels) * 3.0;
-    };
+    auto loss_at = [&]() { return lossSum(model, mb); };
 
     const float eps = 2e-3f;
     // top MLP layer 0, a few weights
@@ -124,13 +145,10 @@ TEST(DlrmTest, MlpWeightGradNumericalCheck)
         w = orig - eps;
         const double lm = loss_at();
         w = orig;
-        EXPECT_NEAR(layer.weightGrad().data()[k * 7 + k],
+        EXPECT_NEAR(sums.top.w[0].data()[k * 7 + k],
                     (lp - lm) / (2.0 * eps), 5e-2);
     }
     // bottom MLP layer 0
-    Tensor l2;
-    model.forward(mb, l2);
-    model.backward(d_logits);
     LinearLayer &blayer = model.bottomMlp().layers()[0];
     for (std::size_t k = 0; k < 3; ++k) {
         float &w = blayer.weight().data()[k];
@@ -140,7 +158,7 @@ TEST(DlrmTest, MlpWeightGradNumericalCheck)
         w = orig - eps;
         const double lm = loss_at();
         w = orig;
-        EXPECT_NEAR(blayer.weightGrad().data()[k],
+        EXPECT_NEAR(sums.bottom.w[0].data()[k],
                     (lp - lm) / (2.0 * eps), 5e-2);
     }
 }
@@ -148,23 +166,22 @@ TEST(DlrmTest, MlpWeightGradNumericalCheck)
 TEST(DlrmTest, GhostNormsMatchPerExampleForFullModel)
 {
     const auto mc = ModelConfig::tiny();
-    DlrmModel a(mc, 17);
-    DlrmModel b(mc, 17);
+    DlrmModel model(mc, 17);
     SyntheticDataset ds(datasetFor(mc, 6));
     const MiniBatch mb = ds.batch(2);
 
-    Tensor la, lb;
-    a.forward(mb, la);
-    b.forward(mb, lb);
+    Tensor logits;
+    DlrmWorkspace ws;
+    model.forward(mb, logits, ws, serial());
     Tensor d_logits(6, 1);
-    BceWithLogitsLoss::backwardPerExample(la, mb.labels, d_logits);
+    BceWithLogitsLoss::backwardPerExample(logits, mb.labels, d_logits);
 
     std::vector<double> ghost(6, 0.0);
-    a.backward(d_logits, &ghost, true);
-    a.accumulateEmbeddingGhostNormSq(mb, ghost);
+    model.backward(d_logits, &ghost, ws, nullptr, serial());
+    model.accumulateEmbeddingGhostNormSq(mb, ghost, ws);
 
     PerExampleGrads top, bottom;
-    b.backwardPerExample(d_logits, top, bottom);
+    model.backwardPerExample(d_logits, top, bottom, ws, serial());
     std::vector<double> ref(6, 0.0);
     auto add = [&](const PerExampleGrads &peg) {
         for (const auto &w : peg.w)
@@ -178,7 +195,7 @@ TEST(DlrmTest, GhostNormsMatchPerExampleForFullModel)
     };
     add(top);
     add(bottom);
-    b.accumulateEmbeddingGhostNormSq(mb, ref);
+    model.accumulateEmbeddingGhostNormSq(mb, ref, ws);
 
     for (std::size_t e = 0; e < 6; ++e)
         EXPECT_NEAR(ghost[e], ref[e], 1e-4 * (1.0 + ref[e]));
@@ -199,15 +216,16 @@ TEST(DlrmTest, EmbeddingGhostNormCountsDuplicateMultiplicity)
     mb.labels[0] = 1.0f;
 
     Tensor logits;
-    model.forward(mb, logits);
+    DlrmWorkspace ws;
+    model.forward(mb, logits, ws, serial());
     Tensor d_logits(1, 1);
     d_logits.at(0, 0) = 1.0f;
-    model.backward(d_logits);
+    model.backward(d_logits, nullptr, ws, nullptr, serial());
 
     std::vector<double> ghost(1, 0.0);
-    model.accumulateEmbeddingGhostNormSq(mb, ghost);
-    const double g2 = kernels().squaredNorm(model.embOutGrad(0).data(),
-                                            mc.embedDim);
+    model.accumulateEmbeddingGhostNormSq(mb, ghost, ws);
+    const double g2 =
+        kernels().squaredNorm(ws.dEmbOut[0].data(), mc.embedDim);
     EXPECT_NEAR(ghost[0], 4.0 * g2, 1e-9); // m=2 -> m^2 = 4
 }
 
@@ -218,15 +236,73 @@ TEST(DlrmTest, ApplyMlpsChangesWeights)
     SyntheticDataset ds(datasetFor(mc, 4));
     const MiniBatch mb = ds.batch(0);
     Tensor logits;
-    model.forward(mb, logits);
+    DlrmWorkspace ws;
+    model.forward(mb, logits, ws, serial());
     Tensor d_logits(4, 1);
     BceWithLogitsLoss::backwardPerExample(logits, mb.labels, d_logits);
-    model.backward(d_logits);
+    DlrmGradSums sums;
+    model.backward(d_logits, nullptr, ws, &sums, serial());
+    auto store = [](Mlp &mlp, const MlpGradSums &s) {
+        for (std::size_t li = 0; li < mlp.layers().size(); ++li) {
+            mlp.layers()[li].weightGrad().copyFrom(s.w[li]);
+            mlp.layers()[li].biasGrad().copyFrom(s.b[li]);
+        }
+    };
+    store(model.bottomMlp(), sums.bottom);
+    store(model.topMlp(), sums.top);
 
     const float before = model.topMlp().layers()[0].weight().at(0, 0);
     model.applyMlps(0.1f);
     const float after = model.topMlp().layers()[0].weight().at(0, 0);
     EXPECT_NE(before, after);
+}
+
+TEST(DlrmTest, NullSumsChangesNothingButParamGrads)
+{
+    // A backward without gradient sums is the same backward minus the
+    // parameter gradients: activation gradients and ghost norms match
+    // the run with sums bit for bit, and no layer gradient is written.
+    const auto mc = ModelConfig::tiny();
+    DlrmModel model(mc, 31);
+    SyntheticDataset ds(datasetFor(mc, 6));
+    const MiniBatch mb = ds.batch(4);
+
+    Tensor logits;
+    DlrmWorkspace with_sums, no_sums;
+    model.forward(mb, logits, with_sums, serial());
+    model.forward(mb, logits, no_sums, serial());
+    Tensor d_logits(6, 1);
+    BceWithLogitsLoss::backwardPerExample(logits, mb.labels, d_logits);
+
+    auto for_each_layer = [&](auto &&fn) {
+        for (Mlp *mlp : {&model.bottomMlp(), &model.topMlp()})
+            for (LinearLayer &layer : mlp->layers())
+                fn(layer);
+    };
+    for_each_layer([](LinearLayer &layer) {
+        layer.weightGrad().fill(7.0f);
+        layer.biasGrad().fill(-3.0f);
+    });
+
+    std::vector<double> ghost_no(6, 0.0), ghost_with(6, 0.0);
+    model.backward(d_logits, &ghost_no, no_sums, nullptr, serial());
+    DlrmGradSums sums;
+    model.backward(d_logits, &ghost_with, with_sums, &sums, serial());
+
+    EXPECT_EQ(std::memcmp(ghost_no.data(), ghost_with.data(),
+                          ghost_no.size() * sizeof(double)),
+              0);
+    EXPECT_TRUE(bitEqual(no_sums.dBottomOut, with_sums.dBottomOut));
+    ASSERT_EQ(no_sums.dEmbOut.size(), mc.numTables);
+    for (std::size_t t = 0; t < mc.numTables; ++t)
+        EXPECT_TRUE(bitEqual(no_sums.dEmbOut[t], with_sums.dEmbOut[t]))
+            << "table " << t;
+    for_each_layer([](LinearLayer &layer) {
+        for (std::size_t i = 0; i < layer.weightGrad().size(); ++i)
+            ASSERT_EQ(layer.weightGrad().data()[i], 7.0f);
+        for (std::size_t i = 0; i < layer.biasGrad().size(); ++i)
+            ASSERT_EQ(layer.biasGrad().data()[i], -3.0f);
+    });
 }
 
 TEST(DlrmTest, TableBytesSumsTables)

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "kernels/kernel_registry.h"
 #include "nn/interaction.h"
 #include "rng/xoshiro.h"
 
@@ -35,8 +34,8 @@ TEST(InteractionTest, ForwardPassThroughAndPairDots)
     b.at(0, 1) = 4.0f;
     c.at(0, 0) = 5.0f;
     c.at(0, 1) = 6.0f;
-    Tensor out(1, inter.outputDim());
-    inter.forward({&a, &b, &c}, out);
+    Tensor out(1, inter.outputDim()), cache;
+    inter.forwardInto({&a, &b, &c}, out, cache, ExecContext::serial());
     // passthrough of a
     EXPECT_EQ(out.at(0, 0), 1.0f);
     EXPECT_EQ(out.at(0, 1), 2.0f);
@@ -62,18 +61,20 @@ TEST(InteractionTest, BackwardNumericalCheck)
         std::vector<const Tensor *> ptrs;
         for (auto &t : inputs)
             ptrs.push_back(&t);
-        Tensor out(batch, inter.outputDim());
-        DotInteraction fresh(n_in, dim);
-        fresh.forward(ptrs, out);
-        return kernels().dot(out.data(), g.data(), out.size());
+        Tensor out(batch, inter.outputDim()), cache;
+        inter.forwardInto(ptrs, out, cache, ExecContext::serial());
+        double loss = 0.0;
+        for (std::size_t i = 0; i < out.size(); ++i)
+            loss += static_cast<double>(out.data()[i]) * g.data()[i];
+        return loss;
     };
 
     // analytic grads
     std::vector<const Tensor *> ptrs;
     for (auto &t : inputs)
         ptrs.push_back(&t);
-    Tensor out(batch, inter.outputDim());
-    inter.forward(ptrs, out);
+    Tensor out(batch, inter.outputDim()), cache;
+    inter.forwardInto(ptrs, out, cache, ExecContext::serial());
     std::vector<Tensor> d_inputs;
     std::vector<Tensor *> d_ptrs;
     for (std::size_t i = 0; i < n_in; ++i) {
@@ -84,7 +85,7 @@ TEST(InteractionTest, BackwardNumericalCheck)
     d_ptrs.clear();
     for (auto &t : d_inputs)
         d_ptrs.push_back(&t);
-    inter.backward(g, d_ptrs);
+    inter.backwardFrom(g, d_ptrs, cache, ExecContext::serial());
 
     const float eps = 1e-3f;
     for (std::size_t i = 0; i < n_in; ++i) {
@@ -109,11 +110,11 @@ TEST(InteractionTest, BackwardZeroGradGivesZero)
     DotInteraction inter(2, 2);
     Tensor a = randomTensor(3, 2, 1);
     Tensor b = randomTensor(3, 2, 2);
-    Tensor out(3, inter.outputDim());
-    inter.forward({&a, &b}, out);
+    Tensor out(3, inter.outputDim()), cache;
+    inter.forwardInto({&a, &b}, out, cache, ExecContext::serial());
     Tensor g(3, inter.outputDim()); // zeros
     Tensor da(3, 2), db(3, 2);
-    inter.backward(g, {&da, &db});
+    inter.backwardFrom(g, {&da, &db}, cache, ExecContext::serial());
     for (std::size_t i = 0; i < da.size(); ++i) {
         EXPECT_EQ(da.data()[i], 0.0f);
         EXPECT_EQ(db.data()[i], 0.0f);

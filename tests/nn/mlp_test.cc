@@ -1,11 +1,13 @@
 /**
  * @file MLP tests: numerical gradient checks, ghost-norm exactness, and
- * per-example gradient consistency.
+ * per-example gradient consistency, all through the caller-owned
+ * workspace API.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "kernels/kernel_registry.h"
 #include "nn/mlp.h"
@@ -28,7 +30,16 @@ randomTensor(std::size_t r, std::size_t c, std::uint64_t seed)
 double
 proxyLoss(const Tensor &y, const Tensor &g)
 {
-    return kernels().dot(y.data(), g.data(), y.size());
+    double sum = 0.0;
+    for (std::size_t i = 0; i < y.size(); ++i)
+        sum += static_cast<double>(y.data()[i]) * g.data()[i];
+    return sum;
+}
+
+ExecContext &
+serial()
+{
+    return ExecContext::serial();
 }
 
 TEST(LinearLayerTest, ForwardMatchesNaive)
@@ -36,8 +47,8 @@ TEST(LinearLayerTest, ForwardMatchesNaive)
     LinearLayer layer(3, 2);
     layer.initUniform(1);
     const Tensor x = randomTensor(4, 3, 2);
-    Tensor y(4, 2);
-    layer.forward(x, y);
+    Tensor y(4, 2), xc;
+    layer.forwardInto(x, y, xc, serial());
     for (std::size_t e = 0; e < 4; ++e) {
         for (std::size_t o = 0; o < 2; ++o) {
             double ref = layer.bias().at(0, o);
@@ -55,10 +66,11 @@ TEST(LinearLayerTest, WeightGradNumericalCheck)
     layer.initUniform(3);
     const Tensor x = randomTensor(5, 3, 4);
     const Tensor g = randomTensor(5, 2, 5);
-    Tensor y(5, 2);
-    layer.forward(x, y);
+    Tensor y(5, 2), xc;
+    layer.forwardInto(x, y, xc, serial());
     Tensor dx(5, 3);
-    layer.backward(g, &dx);
+    layer.backwardFrom(g, xc, &dx, &layer.weightGrad(), &layer.biasGrad(),
+                       serial());
 
     const float eps = 1e-3f;
     for (std::size_t o = 0; o < 2; ++o) {
@@ -67,10 +79,10 @@ TEST(LinearLayerTest, WeightGradNumericalCheck)
             const float orig = w;
             w = orig + eps;
             Tensor yp(5, 2);
-            layer.forward(x, yp);
+            layer.forwardInto(x, yp, xc, serial());
             w = orig - eps;
             Tensor ym(5, 2);
-            layer.forward(x, ym);
+            layer.forwardInto(x, ym, xc, serial());
             w = orig;
             const double num =
                 (proxyLoss(yp, g) - proxyLoss(ym, g)) / (2.0 * eps);
@@ -85,10 +97,11 @@ TEST(LinearLayerTest, InputGradNumericalCheck)
     layer.initUniform(6);
     Tensor x = randomTensor(2, 3, 7);
     const Tensor g = randomTensor(2, 2, 8);
-    Tensor y(2, 2);
-    layer.forward(x, y);
+    Tensor y(2, 2), xc;
+    layer.forwardInto(x, y, xc, serial());
     Tensor dx(2, 3);
-    layer.backward(g, &dx);
+    layer.backwardFrom(g, xc, &dx, &layer.weightGrad(), &layer.biasGrad(),
+                       serial());
 
     const float eps = 1e-3f;
     for (std::size_t e = 0; e < 2; ++e) {
@@ -96,10 +109,10 @@ TEST(LinearLayerTest, InputGradNumericalCheck)
             const float orig = x.at(e, i);
             x.at(e, i) = orig + eps;
             Tensor yp(2, 2);
-            layer.forward(x, yp);
+            layer.forwardInto(x, yp, xc, serial());
             x.at(e, i) = orig - eps;
             Tensor ym(2, 2);
-            layer.forward(x, ym);
+            layer.forwardInto(x, ym, xc, serial());
             x.at(e, i) = orig;
             const double num =
                 (proxyLoss(yp, g) - proxyLoss(ym, g)) / (2.0 * eps);
@@ -116,14 +129,14 @@ TEST(LinearLayerTest, GhostNormEqualsMaterializedNorm)
     layer.initUniform(9);
     const Tensor x = randomTensor(6, 7, 10);
     const Tensor g = randomTensor(6, 5, 11);
-    Tensor y(6, 5);
-    layer.forward(x, y);
+    Tensor y(6, 5), xc;
+    layer.forwardInto(x, y, xc, serial());
 
     std::vector<double> ghost(6, 0.0);
-    layer.accumulateGhostNormSq(g, ghost);
+    layer.accumulateGhostNormSqFrom(g, xc, ghost);
 
     Tensor wg, bg;
-    layer.perExampleGrads(g, wg, bg);
+    layer.perExampleGradsFrom(g, xc, wg, bg, serial());
     for (std::size_t e = 0; e < 6; ++e) {
         const double ref =
             kernels().squaredNorm(wg.data() + e * wg.cols(), wg.cols()) +
@@ -138,12 +151,13 @@ TEST(LinearLayerTest, PerExampleGradsSumToBatchGrad)
     layer.initUniform(12);
     const Tensor x = randomTensor(8, 4, 13);
     const Tensor g = randomTensor(8, 3, 14);
-    Tensor y(8, 3);
-    layer.forward(x, y);
-    layer.backward(g, nullptr);
+    Tensor y(8, 3), xc;
+    layer.forwardInto(x, y, xc, serial());
+    layer.backwardFrom(g, xc, nullptr, &layer.weightGrad(),
+                       &layer.biasGrad(), serial());
 
     Tensor wg, bg;
-    layer.perExampleGrads(g, wg, bg);
+    layer.perExampleGradsFrom(g, xc, wg, bg, serial());
     for (std::size_t o = 0; o < 3; ++o) {
         for (std::size_t i = 0; i < 4; ++i) {
             double sum = 0.0;
@@ -160,12 +174,22 @@ TEST(LinearLayerTest, SkipParamGradsLeavesGradsUntouched)
     layer.initUniform(15);
     const Tensor x = randomTensor(2, 3, 16);
     const Tensor g = randomTensor(2, 3, 17);
-    Tensor y(2, 3);
-    layer.forward(x, y);
+    Tensor y(2, 3), xc;
+    layer.forwardInto(x, y, xc, serial());
     layer.weightGrad().fill(123.0f);
-    Tensor dx(2, 3);
-    layer.backward(g, &dx, /*skip_param_grads=*/true);
-    EXPECT_EQ(layer.weightGrad().at(0, 0), 123.0f);
+    layer.biasGrad().fill(456.0f);
+    Tensor dx(2, 3), dx_ref(2, 3);
+    layer.backwardFrom(g, xc, &dx, nullptr, nullptr, serial());
+    for (std::size_t i = 0; i < layer.weightGrad().size(); ++i)
+        EXPECT_EQ(layer.weightGrad().data()[i], 123.0f);
+    for (std::size_t i = 0; i < layer.biasGrad().size(); ++i)
+        EXPECT_EQ(layer.biasGrad().data()[i], 456.0f);
+    // the input gradient is the one a full backward derives
+    Tensor wg(3, 3), bg(1, 3);
+    layer.backwardFrom(g, xc, &dx_ref, &wg, &bg, serial());
+    EXPECT_EQ(std::memcmp(dx.data(), dx_ref.data(),
+                          dx.size() * sizeof(float)),
+              0);
 }
 
 TEST(LinearLayerTest, ApplyStepsAgainstGradient)
@@ -186,9 +210,10 @@ TEST(MlpTest, ForwardBackwardNumericalCheckThroughRelu)
     Tensor x = randomTensor(4, 3, 22);
     const Tensor g = randomTensor(4, 2, 23);
     Tensor y(4, 2);
-    mlp.forward(x, y);
+    MlpWorkspace ws;
+    mlp.forward(x, y, ws, serial());
     Tensor dx(4, 3);
-    mlp.backward(g, &dx);
+    mlp.backward(g, &dx, nullptr, ws, nullptr, serial());
 
     const float eps = 1e-3f;
     for (std::size_t e = 0; e < 4; ++e) {
@@ -196,10 +221,10 @@ TEST(MlpTest, ForwardBackwardNumericalCheckThroughRelu)
             const float orig = x.at(e, i);
             x.at(e, i) = orig + eps;
             Tensor yp(4, 2);
-            mlp.forward(x, yp);
+            mlp.forward(x, yp, ws, serial());
             x.at(e, i) = orig - eps;
             Tensor ym(4, 2);
-            mlp.forward(x, ym);
+            mlp.forward(x, ym, ws, serial());
             x.at(e, i) = orig;
             const double num =
                 (proxyLoss(yp, g) - proxyLoss(ym, g)) / (2.0 * eps);
@@ -214,8 +239,10 @@ TEST(MlpTest, WeightGradNumericalCheckDeepStack)
     const Tensor x = randomTensor(3, 2, 32);
     const Tensor g = randomTensor(3, 1, 33);
     Tensor y(3, 1);
-    mlp.forward(x, y);
-    mlp.backward(g, nullptr);
+    MlpWorkspace ws;
+    MlpGradSums sums;
+    mlp.forward(x, y, ws, serial());
+    mlp.backward(g, nullptr, nullptr, ws, &sums, serial());
 
     const float eps = 1e-3f;
     for (std::size_t li = 0; li < mlp.layers().size(); ++li) {
@@ -228,40 +255,34 @@ TEST(MlpTest, WeightGradNumericalCheckDeepStack)
             const float orig = w;
             w = orig + eps;
             Tensor yp(3, 1);
-            mlp.forward(x, yp);
+            mlp.forward(x, yp, ws, serial());
             w = orig - eps;
             Tensor ym(3, 1);
-            mlp.forward(x, ym);
+            mlp.forward(x, ym, ws, serial());
             w = orig;
             const double num =
                 (proxyLoss(yp, g) - proxyLoss(ym, g)) / (2.0 * eps);
-            EXPECT_NEAR(layer.weightGrad().data()[k], num, 6e-2)
+            EXPECT_NEAR(sums.w[li].data()[k], num, 6e-2)
                 << "layer " << li << " weight " << k;
         }
-        // re-run backward because the perturbed forwards invalidated
-        // the caches
-        Tensor y2(3, 1);
-        mlp.forward(x, y2);
-        mlp.backward(g, nullptr);
     }
 }
 
 TEST(MlpTest, GhostNormMatchesPerExampleThroughStack)
 {
-    Mlp a({3, 6, 2}, 41);
-    Mlp b({3, 6, 2}, 41); // identical weights
+    Mlp mlp({3, 6, 2}, 41);
     const Tensor x = randomTensor(5, 3, 42);
     const Tensor g = randomTensor(5, 2, 43);
 
-    Tensor ya(5, 2), yb(5, 2);
-    a.forward(x, ya);
-    b.forward(x, yb);
+    Tensor y(5, 2);
+    MlpWorkspace ws;
+    mlp.forward(x, y, ws, serial());
 
     std::vector<double> ghost(5, 0.0);
-    a.backward(g, nullptr, &ghost, /*skip_param_grads=*/true);
+    mlp.backward(g, nullptr, &ghost, ws, nullptr, serial());
 
     PerExampleGrads peg;
-    b.backwardPerExample(g, nullptr, peg);
+    mlp.backwardPerExample(g, nullptr, peg, ws, serial());
     for (std::size_t e = 0; e < 5; ++e) {
         double ref = 0.0;
         for (const auto &w : peg.w)
@@ -276,18 +297,17 @@ TEST(MlpTest, GhostNormMatchesPerExampleThroughStack)
 
 TEST(MlpTest, BackwardNormsOnlyMatchesGhostNorms)
 {
-    Mlp a({4, 8, 3}, 51);
-    Mlp b({4, 8, 3}, 51);
+    Mlp mlp({4, 8, 3}, 51);
     const Tensor x = randomTensor(6, 4, 52);
     const Tensor g = randomTensor(6, 3, 53);
-    Tensor ya(6, 3), yb(6, 3);
-    a.forward(x, ya);
-    b.forward(x, yb);
+    Tensor y(6, 3);
+    MlpWorkspace ws;
+    mlp.forward(x, y, ws, serial());
 
     std::vector<double> ghost(6, 0.0);
-    a.backward(g, nullptr, &ghost, true);
+    mlp.backward(g, nullptr, &ghost, ws, nullptr, serial());
     std::vector<double> materialized(6, 0.0);
-    b.backwardNormsOnly(g, nullptr, materialized);
+    mlp.backwardNormsOnly(g, nullptr, materialized, ws, serial());
     for (std::size_t e = 0; e < 6; ++e)
         EXPECT_NEAR(ghost[e], materialized[e],
                     1e-5 * (1.0 + ghost[e]));
@@ -305,9 +325,10 @@ TEST(PerExampleGradsTest, BytesAccounting)
     const Tensor x = randomTensor(4, 2, 72);
     const Tensor g = randomTensor(4, 1, 73);
     Tensor y(4, 1);
-    mlp.forward(x, y);
+    MlpWorkspace ws;
+    mlp.forward(x, y, ws, serial());
     PerExampleGrads peg;
-    mlp.backwardPerExample(g, nullptr, peg);
+    mlp.backwardPerExample(g, nullptr, peg, ws, serial());
     // layer0: 4 x (3*2) floats, layer1: 4 x (1*3); biases 4x3 + 4x1
     EXPECT_EQ(peg.bytes(), (4 * 6 + 4 * 3 + 4 * 3 + 4 * 1) * 4u);
 }
