@@ -234,9 +234,10 @@ class DlrmModel
     /**
      * Overwrite all parameters (embedding tables + both MLPs' weights
      * and biases) with @p other 's. Configurations must be identical
-     * (panics otherwise). Gradients are not touched -- copying exactly the state a const forward() reads is
-     * what lets ModelSnapshotStore publish consistent serving replicas
-     * while training keeps mutating the source model.
+     * (panics otherwise). Gradients are not touched -- copying exactly
+     * the state a const forward() reads is what lets ModelSnapshotStore
+     * publish consistent serving replicas while training keeps mutating
+     * the source model.
      */
     void copyWeightsFrom(const DlrmModel &other);
 

@@ -170,18 +170,21 @@ TEST(DlrmTest, GhostNormsMatchPerExampleForFullModel)
     SyntheticDataset ds(datasetFor(mc, 6));
     const MiniBatch mb = ds.batch(2);
 
+    // One workspace per pass: the per-example backward must not find
+    // the ghost-norm pass's activation gradients in its scratch.
     Tensor logits;
-    DlrmWorkspace ws;
-    model.forward(mb, logits, ws, serial());
+    DlrmWorkspace ws_ghost, ws_peg;
+    model.forward(mb, logits, ws_ghost, serial());
+    model.forward(mb, logits, ws_peg, serial());
     Tensor d_logits(6, 1);
     BceWithLogitsLoss::backwardPerExample(logits, mb.labels, d_logits);
 
     std::vector<double> ghost(6, 0.0);
-    model.backward(d_logits, &ghost, ws, nullptr, serial());
-    model.accumulateEmbeddingGhostNormSq(mb, ghost, ws);
+    model.backward(d_logits, &ghost, ws_ghost, nullptr, serial());
+    model.accumulateEmbeddingGhostNormSq(mb, ghost, ws_ghost);
 
     PerExampleGrads top, bottom;
-    model.backwardPerExample(d_logits, top, bottom, ws, serial());
+    model.backwardPerExample(d_logits, top, bottom, ws_peg, serial());
     std::vector<double> ref(6, 0.0);
     auto add = [&](const PerExampleGrads &peg) {
         for (const auto &w : peg.w)
@@ -195,7 +198,7 @@ TEST(DlrmTest, GhostNormsMatchPerExampleForFullModel)
     };
     add(top);
     add(bottom);
-    model.accumulateEmbeddingGhostNormSq(mb, ref, ws);
+    model.accumulateEmbeddingGhostNormSq(mb, ref, ws_peg);
 
     for (std::size_t e = 0; e < 6; ++e)
         EXPECT_NEAR(ghost[e], ref[e], 1e-4 * (1.0 + ref[e]));

@@ -274,15 +274,18 @@ TEST(MlpTest, GhostNormMatchesPerExampleThroughStack)
     const Tensor x = randomTensor(5, 3, 42);
     const Tensor g = randomTensor(5, 2, 43);
 
+    // One workspace per pass: the second backward must not find the
+    // first one's activation gradients in its scratch.
     Tensor y(5, 2);
-    MlpWorkspace ws;
-    mlp.forward(x, y, ws, serial());
+    MlpWorkspace ws_ghost, ws_peg;
+    mlp.forward(x, y, ws_ghost, serial());
+    mlp.forward(x, y, ws_peg, serial());
 
     std::vector<double> ghost(5, 0.0);
-    mlp.backward(g, nullptr, &ghost, ws, nullptr, serial());
+    mlp.backward(g, nullptr, &ghost, ws_ghost, nullptr, serial());
 
     PerExampleGrads peg;
-    mlp.backwardPerExample(g, nullptr, peg, ws, serial());
+    mlp.backwardPerExample(g, nullptr, peg, ws_peg, serial());
     for (std::size_t e = 0; e < 5; ++e) {
         double ref = 0.0;
         for (const auto &w : peg.w)
@@ -301,13 +304,14 @@ TEST(MlpTest, BackwardNormsOnlyMatchesGhostNorms)
     const Tensor x = randomTensor(6, 4, 52);
     const Tensor g = randomTensor(6, 3, 53);
     Tensor y(6, 3);
-    MlpWorkspace ws;
-    mlp.forward(x, y, ws, serial());
+    MlpWorkspace ws_ghost, ws_norms; // one per pass, as above
+    mlp.forward(x, y, ws_ghost, serial());
+    mlp.forward(x, y, ws_norms, serial());
 
     std::vector<double> ghost(6, 0.0);
-    mlp.backward(g, nullptr, &ghost, ws, nullptr, serial());
+    mlp.backward(g, nullptr, &ghost, ws_ghost, nullptr, serial());
     std::vector<double> materialized(6, 0.0);
-    mlp.backwardNormsOnly(g, nullptr, materialized, ws, serial());
+    mlp.backwardNormsOnly(g, nullptr, materialized, ws_norms, serial());
     for (std::size_t e = 0; e < 6; ++e)
         EXPECT_NEAR(ghost[e], materialized[e],
                     1e-5 * (1.0 + ghost[e]));

@@ -6,8 +6,7 @@
 #         -P tests/tool_bit_identity.cmake
 #
 # Registered as the ctest `tool_bit_identity` (label `tool`). Every run
-# inherits LAZYDP_KERNELS; the same-backend leg also passes it as
-# --kernels when it is set.
+# inherits LAZYDP_KERNELS, which selects the kernel backend.
 
 if(NOT TRAIN OR NOT OUT)
   message(FATAL_ERROR "usage: cmake -DTRAIN=<lazydp_train> -DOUT=<dir> "
@@ -55,11 +54,7 @@ endforeach()
 train(mrp --threads=8 --replicas=4 --pipeline=on)
 same(m1 mrp)
 
-# Same kernel backend, two runs.
-set(kernels_flag "")
-if(NOT "$ENV{LAZYDP_KERNELS}" STREQUAL "")
-  set(kernels_flag --kernels=$ENV{LAZYDP_KERNELS})
-endif()
-train(k1 --threads=2 ${kernels_flag})
-train(k2 --threads=2 ${kernels_flag})
+# Same kernel backend (LAZYDP_KERNELS, inherited), two runs.
+train(k1 --threads=2)
+train(k2 --threads=2)
 same(k1 k2)
